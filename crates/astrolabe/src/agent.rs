@@ -849,7 +849,7 @@ impl Agent {
             let rows_held: usize = self.tables.iter().map(ZoneTable::len).sum();
             obs::metric_add!(self.id, ctr::GOSSIP_ROUNDS, 1);
             obs::metric_add!(self.id, ctr::GOSSIP_DIGESTS_SENT, out.len());
-            obs::gauge_set!(self.id, gauge::ASTRO_ROWS_HELD, rows_held);
+            obs::gauge_max!(self.id, gauge::ASTRO_ROWS_HELD, rows_held);
             obs::trace_event!(self.id, Layer::Astro, kind::GOSSIP_ROUND, rows_held, out.len());
             for (_, msg) in &out {
                 obs::hist_record!(self.id, hist::GOSSIP_DIGEST_BYTES, msg.wire_size());

@@ -35,9 +35,10 @@ fn measure(n: u32, branching: u16, seed: u64) -> (usize, f64, f64, usize) {
         (after.bytes_sent - before.bytes_sent) as f64 / f64::from(n) / window as f64;
     let msgs_per_node_s =
         (after.msgs_sent - before.msgs_sent) as f64 / f64::from(n) / window as f64;
-    // Replicated-state column from the telemetry registry's per-round gauge
-    // when instrumentation is on (0 means "never set": fall back to walking
-    // the agent's tables, which is also the obs-off path).
+    // Replicated-state column from the telemetry registry's rows-held
+    // high-water mark when instrumentation is on (nothing churns here, so
+    // the tables only grow; 0 means "never set": fall back to walking the
+    // agent's tables, which is also the obs-off path).
     let rows_held: usize = {
         let from_registry = {
             let hub = sim.telemetry();

@@ -27,8 +27,8 @@ use std::collections::BTreeSet;
 use baselines::{FlashCrowdSpec, SubscriptionChurnSpec};
 use newswire::{self_stabilized, NewsWireConfig, Subscription};
 use simnet::{
-    ChurnSpec, CorruptionOp, CorruptionSpec, FaultPlan, LiarBehavior, LiarMode, LiarSpec, NodeId,
-    RestartMode, SimDuration, SimTime,
+    ChurnSpec, CorruptionOp, FaultPlan, LiarBehavior, LiarMode, LiarSpec, NodeId, RestartMode,
+    SimDuration, SimTime, StrikeSpec,
 };
 
 use crate::experiments::support::{dump_telemetry, tech_item};
@@ -113,27 +113,30 @@ fn run_point(n: u32, adversary: Adversary, workload: Workload, defenses: bool, s
     let (start, end) = (SimTime::from_secs(WINDOW.0), SimTime::from_secs(WINDOW.1));
     let mut plan = FaultPlan { salt: seed ^ 0xE17, ..FaultPlan::default() };
     match adversary {
-        Adversary::ZoneRows => plan.corruption.push(CorruptionSpec {
+        Adversary::ZoneRows => plan.strikes.push(StrikeSpec {
             nodes: victims.clone(),
             start,
             end,
             mean_interval_secs: 6.0,
             op: CorruptionOp::ZoneRows { rows: 3 },
+            colluding: false,
         }),
-        Adversary::LogEpoch => plan.corruption.push(CorruptionSpec {
+        Adversary::LogEpoch => plan.strikes.push(StrikeSpec {
             nodes: victims.clone(),
             start,
             end,
             mean_interval_secs: 10.0,
             op: CorruptionOp::LogEpoch { entries: 4 },
+            colluding: false,
         }),
         Adversary::DiskBytes => {
-            plan.corruption.push(CorruptionSpec {
+            plan.strikes.push(StrikeSpec {
                 nodes: victims.clone(),
                 start,
                 end,
                 mean_interval_secs: 6.0,
                 op: CorruptionOp::DiskBytes { flips: 16 },
+                colluding: false,
             });
             // Cold-restart the victims inside the window so the torn
             // snapshots are actually read back.
@@ -152,6 +155,7 @@ fn run_point(n: u32, adversary: Adversary, workload: Workload, defenses: bool, s
             start,
             end: Some(end),
             behavior: LiarBehavior { mode: LiarMode::MisSummarize, prob: 1.0 },
+            colluding: false,
         }),
     }
     d.sim.apply_fault_plan(&plan);

@@ -23,7 +23,9 @@
 use std::collections::BTreeSet;
 
 use newswire::{collusion_breaking_point, self_stabilized, NewsWireConfig};
-use simnet::{CollusionScript, CollusionSpec, FaultPlan, ForgeSpec, NodeId, SimTime};
+use simnet::{
+    CorruptionOp, FaultPlan, LiarBehavior, LiarMode, LiarSpec, NodeId, SimTime, StrikeSpec,
+};
 
 use crate::experiments::support::{dump_telemetry, tech_item};
 use crate::Table;
@@ -93,26 +95,32 @@ fn run_point(n: u32, script: Script, size: u32, defenses: bool, seed: u64) -> Po
     let group: Vec<NodeId> = (0..size).map(|k| NodeId(2 + k)).collect();
     let (start, end) = (SimTime::from_secs(WINDOW.0), SimTime::from_secs(WINDOW.1));
     let mut plan = FaultPlan { salt: seed ^ 0xE18, ..FaultPlan::default() };
+    let strike = |mean_interval_secs, op, colluding| StrikeSpec {
+        nodes: group.clone(),
+        start,
+        end,
+        mean_interval_secs,
+        op,
+        colluding,
+    };
+    let liar = |mode| LiarSpec {
+        nodes: group.clone(),
+        start,
+        end: Some(end),
+        behavior: LiarBehavior { mode, prob: 1.0 },
+        colluding: true,
+    };
     match script {
-        Script::Forge => plan.forgery.push(ForgeSpec {
-            nodes: group,
-            start,
-            end,
-            mean_interval_secs: 8.0,
-            items_per_strike: 3,
-            publisher: 0,
-        }),
-        _ => plan.collusion.push(CollusionSpec {
-            nodes: group,
-            start,
-            end,
-            mean_interval_secs: 6.0,
-            script: match script {
-                Script::EpochCapture => CollusionScript::EpochCapture { publisher: 0 },
-                Script::RoutePartition => CollusionScript::RoutePartition,
-                _ => CollusionScript::SplitBrain,
-            },
-        }),
+        Script::Forge => plan.strikes.push(strike(
+            8.0,
+            CorruptionOp::ForgeItems { items: 3, publisher: 0 },
+            false,
+        )),
+        Script::EpochCapture => {
+            plan.strikes.push(strike(6.0, CorruptionOp::VoteEpoch { publisher: 0, epoch: 0 }, true))
+        }
+        Script::RoutePartition => plan.liars.push(liar(LiarMode::SelectiveDrop)),
+        Script::SplitBrain => plan.liars.push(liar(LiarMode::SplitBrain)),
     }
     d.sim.apply_fault_plan(&plan);
 
@@ -128,8 +136,7 @@ fn run_point(n: u32, script: Script, size: u32, defenses: bool, seed: u64) -> Po
     // state was puppeted; quarantine legitimately isolates them) but every
     // honest node is held to every invariant, and the forged-delivery
     // verdict is global — colluders included.
-    let mut exempt: BTreeSet<NodeId> = plan.colluding_nodes();
-    exempt.extend(plan.forging_nodes());
+    let exempt: BTreeSet<NodeId> = plan.adversary_nodes();
     let verdict = self_stabilized(&mut d, &items, &exempt, ROUND_BUDGET);
 
     let faults = d.sim.fault_counters();

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use newsml::{PublisherId, PublisherProfile};
 use newswire::{self_stabilized, NewsWireConfig, PublisherSpec};
-use simnet::{FaultPlan, KeyCompromiseSpec, NodeId, SimDuration, SimTime, SybilSpec};
+use simnet::{CorruptionOp, FaultPlan, NodeId, SimDuration, SimTime, StrikeSpec};
 
 use crate::experiments::support::{dump_telemetry, tech_item};
 use crate::Table;
@@ -105,25 +105,24 @@ fn run_point(n: u32, duration: u64, seeds: u32, sybil: u32, defense: Defense, se
         (SimTime::from_secs(WINDOW_START), SimTime::from_secs(WINDOW_START + duration));
     let mut plan = FaultPlan {
         salt: seed ^ 0xE21,
-        key_compromise: vec![KeyCompromiseSpec {
+        strikes: vec![StrikeSpec {
             nodes: thieves,
             start,
             end,
             mean_interval_secs: 8.0,
-            items_per_strike: 3,
-            attest_bump: 2,
-            publisher: 0,
+            op: CorruptionOp::StolenKey { publisher: 0, items: 3, attest_bump: 2 },
+            colluding: false,
         }],
         ..FaultPlan::default()
     };
     if sybil > 0 {
-        plan.sybil.push(SybilSpec {
+        plan.strikes.push(StrikeSpec {
             nodes: vec![striker],
             start,
             end,
             mean_interval_secs: 9.0,
-            identities_per_strike: sybil,
-            publisher: 0,
+            op: CorruptionOp::SybilFlood { identities: sybil, publisher: 0, epoch: 0 },
+            colluding: false,
         });
     }
     d.sim.apply_fault_plan(&plan);
@@ -146,7 +145,7 @@ fn run_point(n: u32, duration: u64, seeds: u32, sybil: u32, defense: Defense, se
 
     // The striker is exempt even in burst-free runs, so the consensus
     // fingerprint below covers the same honest node set in every cell.
-    let mut exempt: BTreeSet<NodeId> = plan.compromised_nodes();
+    let mut exempt: BTreeSet<NodeId> = plan.adversary_nodes();
     exempt.insert(striker);
     let verdict = self_stabilized(&mut d, &items, &exempt, ROUND_BUDGET);
 

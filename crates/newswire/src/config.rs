@@ -56,8 +56,6 @@ pub struct NewsWireConfig {
     pub repair_interval: Option<SimDuration>,
     /// Maximum items shipped per repair reply.
     pub repair_batch: usize,
-    /// Whether forwarders verify publisher signatures (§8).
-    pub verify_signatures: bool,
     /// Base timeout for acknowledged tree hand-offs: a forwarder arms a
     /// timer per `Forward` it transmits and, absent a `ForwardAck`, retries
     /// with exponential backoff before failing over to another
@@ -139,7 +137,6 @@ impl NewsWireConfig {
             cache: CachePolicy::default(),
             repair_interval: Some(SimDuration::from_secs(10)),
             repair_batch: 64,
-            verify_signatures: true,
             ack_timeout: Some(SimDuration::from_secs(2)),
             ack_retries: 1,
             ack_backoff: 2,
@@ -208,7 +205,6 @@ mod tests {
         let global = NewsWireConfig::global_news();
         assert_eq!(tech.model, SubscriptionModel::Bloom { bits: 1024, hashes: 3 });
         assert_eq!(global.model, SubscriptionModel::Bloom { bits: 4096, hashes: 4 });
-        assert!(tech.verify_signatures);
     }
 
     #[test]

@@ -1168,15 +1168,7 @@ impl NewsWireNode {
     }
 
     fn verify(&self, env: &Envelope) -> bool {
-        !self.cfg.verify_signatures
-            || verify_item(
-                &self.registry,
-                &env.certificate,
-                &env.item,
-                &env.scope,
-                env.key,
-                env.signature,
-            )
+        verify_item(&self.registry, &env.certificate, &env.item, &env.scope, env.key, env.signature)
     }
 
     /// After a verified envelope: remember the publisher's certificate (so
@@ -1235,7 +1227,7 @@ impl NewsWireNode {
             self.note_revoked_reject(path, item.id.publisher);
             return;
         }
-        if self.cfg.defenses && self.cfg.verify_signatures && !self.bare_item_ok(&item, key, sig) {
+        if self.cfg.defenses && !self.bare_item_ok(&item, key, sig) {
             self.stats.forged_rejects += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_FORGED_REJECTS, 1);
             obs::trace_event!(
@@ -1271,10 +1263,7 @@ impl NewsWireNode {
                 self.note_revoked_reject(4, item.id.publisher);
                 continue;
             }
-            if self.cfg.defenses
-                && self.cfg.verify_signatures
-                && !self.bare_item_ok(&item, key, sig)
-            {
+            if self.cfg.defenses && !self.bare_item_ok(&item, key, sig) {
                 self.stats.forged_rejects += 1;
                 obs::metric_add!(self.agent.id(), ctr::NW_FORGED_REJECTS, 1);
                 obs::trace_event!(

@@ -12,9 +12,8 @@ use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
 use newswire::{check_invariants, DeploymentBuilder, NewsWireConfig, PublisherSpec};
 use rand::Rng;
 use simnet::{
-    fork, ChurnSpec, CollusionScript, CollusionSpec, FaultCounters, FaultPlan, ForgeSpec,
-    GrayProfile, GraySpec, KeyCompromiseSpec, MessageChaosSpec, NodeId, SimDuration, SimTime,
-    SybilSpec,
+    fork, ChurnSpec, CorruptionOp, FaultCounters, FaultPlan, GrayProfile, GraySpec,
+    MessageChaosSpec, NodeId, SimDuration, SimTime, StrikeSpec,
 };
 
 /// Subscriber count; the deployment adds one publisher at node 0.
@@ -69,12 +68,8 @@ fn plan_for(seed: u64) -> FaultPlan {
             reorder_prob: 0.25,
             reorder_jitter: SimDuration::from_millis(40),
         }],
-        corruption: vec![],
+        strikes: vec![],
         liars: vec![],
-        collusion: vec![],
-        forgery: vec![],
-        key_compromise: vec![],
-        sybil: vec![],
     }
 }
 
@@ -104,25 +99,25 @@ fn byzantine_plan_for(seed: u64) -> FaultPlan {
         link_cuts: vec![],
         partitions: vec![],
         message_chaos: vec![],
-        corruption: vec![],
+        strikes: vec![
+            StrikeSpec {
+                nodes: colluders,
+                start: SimTime::from_secs(90),
+                end: SimTime::from_secs(140),
+                mean_interval_secs: 6.0,
+                op: CorruptionOp::VoteEpoch { publisher: 0, epoch: 0 },
+                colluding: true,
+            },
+            StrikeSpec {
+                nodes: forgers,
+                start: SimTime::from_secs(90),
+                end: SimTime::from_secs(140),
+                mean_interval_secs: 8.0,
+                op: CorruptionOp::ForgeItems { items: 3, publisher: 0 },
+                colluding: false,
+            },
+        ],
         liars: vec![],
-        collusion: vec![CollusionSpec {
-            nodes: colluders,
-            start: SimTime::from_secs(90),
-            end: SimTime::from_secs(140),
-            mean_interval_secs: 6.0,
-            script: CollusionScript::EpochCapture { publisher: 0 },
-        }],
-        forgery: vec![ForgeSpec {
-            nodes: forgers,
-            start: SimTime::from_secs(90),
-            end: SimTime::from_secs(140),
-            mean_interval_secs: 8.0,
-            items_per_strike: 3,
-            publisher: 0,
-        }],
-        key_compromise: vec![],
-        sybil: vec![],
     }
 }
 
@@ -164,8 +159,7 @@ fn byzantine_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     // already-seen) but every honest node is held to every invariant, and
     // with defenses on, no forged item may have reached ANY application —
     // colluders and forgers included.
-    let mut exempt: BTreeSet<NodeId> = plan.colluding_nodes();
-    exempt.extend(plan.forging_nodes());
+    let exempt: BTreeSet<NodeId> = plan.adversary_nodes();
     let report = check_invariants(&d, &items, &exempt);
     assert!(report.survivor_expected > 0, "seed {seed}: vacuous oracle run");
     assert!(report.no_forged_delivery(), "seed {seed}: forged delivery: {report}");
@@ -206,30 +200,28 @@ fn trust_plan_for(seed: u64) -> FaultPlan {
         link_cuts: vec![],
         partitions: vec![],
         message_chaos: vec![],
-        corruption: vec![],
-        liars: vec![],
-        collusion: vec![],
-        forgery: vec![],
         // The window opens at t=105, after the real stream has circulated,
         // so forged seqs land beyond the published range and stay visible
         // to the oracle as forgeries rather than colliding with real ids.
-        key_compromise: vec![KeyCompromiseSpec {
-            nodes: thieves,
-            start: SimTime::from_secs(105),
-            end: SimTime::from_secs(135),
-            mean_interval_secs: 6.0,
-            items_per_strike: 2,
-            attest_bump: 2,
-            publisher: 0,
-        }],
-        sybil: vec![SybilSpec {
-            nodes: sybils,
-            start: SimTime::from_secs(95),
-            end: SimTime::from_secs(140),
-            mean_interval_secs: 7.0,
-            identities_per_strike: 6,
-            publisher: 0,
-        }],
+        strikes: vec![
+            StrikeSpec {
+                nodes: thieves,
+                start: SimTime::from_secs(105),
+                end: SimTime::from_secs(135),
+                mean_interval_secs: 6.0,
+                op: CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 2 },
+                colluding: false,
+            },
+            StrikeSpec {
+                nodes: sybils,
+                start: SimTime::from_secs(95),
+                end: SimTime::from_secs(140),
+                mean_interval_secs: 7.0,
+                op: CorruptionOp::SybilFlood { identities: 6, publisher: 0, epoch: 0 },
+                colluding: false,
+            },
+        ],
+        liars: vec![],
     }
 }
 
@@ -283,8 +275,7 @@ fn trust_once(seed: u64) -> (Vec<(u32, u64, u64)>, FaultCounters) {
     // Thieves and Sybil strikers are exempt from eventual delivery (their
     // own state was puppeted), but no node — them included — may deliver
     // forged content after adopting the revocation.
-    let mut exempt: BTreeSet<NodeId> = plan.compromised_nodes();
-    exempt.extend(plan.sybil_nodes());
+    let exempt: BTreeSet<NodeId> = plan.adversary_nodes();
     let report = check_invariants(&d, &items, &exempt);
     assert!(report.survivor_expected > 0, "seed {seed}: vacuous oracle run");
     assert!(

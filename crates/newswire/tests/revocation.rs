@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
 use newswire::{check_invariants, Deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec};
-use simnet::{FaultPlan, KeyCompromiseSpec, NodeId, SimTime};
+use simnet::{CorruptionOp, FaultPlan, NodeId, SimTime, StrikeSpec};
 
 /// Subscriber count; the deployment adds one publisher at node 0.
 const N: u32 = 48;
@@ -33,20 +33,15 @@ fn compromise_plan(seed: u64) -> FaultPlan {
         link_cuts: vec![],
         partitions: vec![],
         message_chaos: vec![],
-        corruption: vec![],
-        liars: vec![],
-        collusion: vec![],
-        forgery: vec![],
-        key_compromise: vec![KeyCompromiseSpec {
+        strikes: vec![StrikeSpec {
             nodes: vec![NodeId(5), NodeId(23)],
             start: SimTime::from_secs(104),
             end: SimTime::from_secs(118),
             mean_interval_secs: 3.0,
-            items_per_strike: 2,
-            attest_bump: 1,
-            publisher: 0,
+            op: CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 1 },
+            colluding: false,
         }],
-        sybil: vec![],
+        liars: vec![],
     }
 }
 
@@ -107,7 +102,7 @@ fn run(seed: u64, compromised: bool) -> BTreeMap<u32, Vec<(newsml::ItemId, u64, 
     let mut all = pre.clone();
     all.extend(post.iter().cloned());
     let exempt: BTreeSet<NodeId> =
-        if compromised { compromise_plan(seed).compromised_nodes() } else { BTreeSet::new() };
+        if compromised { compromise_plan(seed).adversary_nodes() } else { BTreeSet::new() };
     let report = check_invariants(&d, &all, &exempt);
     assert!(report.survivor_expected > 0, "seed {seed}: vacuous oracle run");
     assert!(

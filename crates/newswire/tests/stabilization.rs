@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
 use newswire::{self_stabilized, Deployment, DeploymentBuilder, PublisherSpec};
-use simnet::{CorruptionOp, CorruptionSpec, FaultPlan, NodeId, SimTime};
+use simnet::{CorruptionOp, FaultPlan, NodeId, SimTime, StrikeSpec};
 
 const N_SUB: u32 = 23;
 const VICTIM: NodeId = NodeId(5);
@@ -32,12 +32,13 @@ fn run(seed: u64, corrupt: bool) -> (Deployment, Vec<NewsItem>) {
     if corrupt {
         d.sim.apply_fault_plan(&FaultPlan {
             salt: 0x57AB,
-            corruption: vec![CorruptionSpec {
+            strikes: vec![StrikeSpec {
                 nodes: vec![VICTIM],
                 start: SimTime::from_secs(65),
                 end: SimTime::from_secs(85),
                 mean_interval_secs: 4.0,
                 op: CorruptionOp::ZoneRows { rows: 3 },
+                colluding: false,
             }],
             ..FaultPlan::default()
         });

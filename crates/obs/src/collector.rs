@@ -90,16 +90,6 @@ pub fn counter_add(node: u32, id: CtrId, v: u64) {
     });
 }
 
-/// Sets a per-node gauge slot.
-#[inline]
-pub fn gauge_set(node: u32, id: GaugeId, v: u64) {
-    with_hub(|h| {
-        if let Some(m) = h.node_mut(node as usize) {
-            m.gauge_set(id, v);
-        }
-    });
-}
-
 /// Raises a per-node gauge slot to `v` if larger.
 #[inline]
 pub fn gauge_max(node: u32, id: GaugeId, v: u64) {

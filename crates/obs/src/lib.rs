@@ -86,17 +86,9 @@ macro_rules! metric_add {
     };
 }
 
-/// Sets a per-node gauge slot in the currently installed hub.
-#[macro_export]
-macro_rules! gauge_set {
-    ($node:expr, $id:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $crate::collector::gauge_set(($node) as u32, $id, ($v) as u64);
-        }
-    };
-}
-
 /// Raises a per-node gauge slot to `v` if `v` is larger (high-water mark).
+/// Gauges are high-water marks only: multi-shard runs merge them by maximum,
+/// so a gauge that could fall would read differently per shard count.
 #[macro_export]
 macro_rules! gauge_max {
     ($node:expr, $id:expr, $v:expr) => {

@@ -244,7 +244,8 @@ pub mod ctr {
 /// Built-in gauge slots.
 pub mod gauge {
     slots! { GaugeId,
-        /// MIB rows currently held by this node's Astrolabe agent.
+        /// High-water mark of the MIB rows held by this node's Astrolabe
+        /// agent.
         ASTRO_ROWS_HELD = 0, "astro_rows_held";
         /// High-water mark of the newswire per-node work queue.
         NW_PEAK_QUEUE = 1, "nw_peak_queue";

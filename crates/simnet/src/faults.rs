@@ -44,7 +44,7 @@ use std::collections::BTreeSet;
 use rand::Rng;
 
 use crate::disk::RestartMode;
-use crate::node::{CorruptionOp, LiarBehavior, LiarMode, Node, NodeId};
+use crate::node::{CorruptionOp, LiarBehavior, Node, NodeId};
 use crate::rng::{exp_sample, fork};
 use crate::sim::Simulation;
 use crate::time::{SimDuration, SimTime};
@@ -137,17 +137,26 @@ pub struct MessageChaosSpec {
     pub reorder_jitter: SimDuration,
 }
 
-/// A Poisson process of adversarial state-corruption strikes over a set of
-/// nodes: within `[start, end)`, each node is struck at exponentially
-/// distributed intervals, each strike applying `op` to its live state (or
-/// its disk, for [`CorruptionOp::DiskBytes`]). Every strike carries its own
-/// seed drawn from the plan-expansion stream, so the schedule *and* the
-/// damage replay bit-for-bit for a given `(seed, plan)` pair.
+/// A Poisson process of adversarial strikes over a set of nodes: within
+/// `[start, end)`, each node is struck at exponentially distributed
+/// intervals, each strike applying `op` to its live state (or its disk, for
+/// [`CorruptionOp::DiskBytes`]). Every strike carries its own seed drawn
+/// from the plan-expansion stream, so the schedule *and* the damage replay
+/// bit-for-bit for a given `(seed, plan)` pair.
+///
+/// One spec covers every adversary the engine models — state corruption,
+/// forgery ([`CorruptionOp::ForgeItems`]), a stolen signing key
+/// ([`CorruptionOp::StolenKey`]), a Sybil burst
+/// ([`CorruptionOp::SybilFlood`]) and a colluding epoch vote
+/// ([`CorruptionOp::VoteEpoch`]). The two voting ops are *joint*: their
+/// `epoch` field is ignored, and one fabricated epoch is drawn per spec from
+/// the plan stream and asserted by every strike, so the group forms a
+/// majority behind a history that never happened.
 #[derive(Debug, Clone)]
-pub struct CorruptionSpec {
-    /// Nodes subjected to corruption strikes.
+pub struct StrikeSpec {
+    /// Nodes subjected to strikes.
     pub nodes: Vec<NodeId>,
-    /// When the corruption window opens.
+    /// When the strike window opens.
     pub start: SimTime,
     /// When it closes (no strikes at or after this time).
     pub end: SimTime,
@@ -155,132 +164,9 @@ pub struct CorruptionSpec {
     pub mean_interval_secs: f64,
     /// What each strike does.
     pub op: CorruptionOp,
-}
-
-/// The shared script a colluding group executes (see [`CollusionSpec`]).
-/// Every member runs the *same* script with *jointly chosen* fabricated
-/// values, which is what distinguishes collusion from independent
-/// corruption: an unsigned neighborhood vote can be captured only when the
-/// liars agree with each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollusionScript {
-    /// Jointly vote the consensus epoch upward: every member repeatedly
-    /// asserts the same fabricated log epoch for `publisher` (drawn once
-    /// per spec from the plan stream) and advertises it, so the group forms
-    /// a leaf-zone majority behind a history that never happened.
-    EpochCapture {
-        /// Raw id of the publisher whose epoch the group captures.
-        publisher: u16,
-    },
-    /// Coordinated `SelectiveDrop` along a publisher→subscriber routing
-    /// path: every member silently drops the outbound payload traffic it
-    /// was trusted to forward, for the whole window.
-    RoutePartition,
-    /// Split-brain lying: each member tells different peers different
-    /// stories about its anti-entropy digests (inflated to one half of the
-    /// destination space, stale to the other).
-    SplitBrain,
-}
-
-impl CollusionScript {
-    /// Stable lowercase name, for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CollusionScript::EpochCapture { .. } => "epoch_capture",
-            CollusionScript::RoutePartition => "route_partition",
-            CollusionScript::SplitBrain => "split_brain",
-        }
-    }
-}
-
-/// A seeded group of nodes bound to a shared Byzantine script for a window.
-/// Strike cadence (for episodic scripts like
-/// [`CollusionScript::EpochCapture`]) is Poisson per member; behavioral
-/// scripts install liar behaviors for the window. The group membership is
-/// marked in the engine so its strikes and intercepts are tallied as
-/// *collusion* (not independent corruption) and harnesses can sweep the
-/// colluding fraction.
-#[derive(Debug, Clone)]
-pub struct CollusionSpec {
-    /// The colluding members.
-    pub nodes: Vec<NodeId>,
-    /// When the script starts.
-    pub start: SimTime,
-    /// When it stops.
-    pub end: SimTime,
-    /// Mean seconds between strikes against one member (episodic scripts).
-    pub mean_interval_secs: f64,
-    /// What the group jointly does.
-    pub script: CollusionScript,
-}
-
-/// A Poisson process of item-forgery strikes: each strike fabricates
-/// `items_per_strike` forged payload items (invented content under bogus
-/// signatures, impersonating `publisher`) directly into the victim's own
-/// state, where repair and anti-entropy traffic will offer them to honest
-/// peers. Expands to [`CorruptionOp::ForgeItems`] strikes.
-#[derive(Debug, Clone)]
-pub struct ForgeSpec {
-    /// Nodes that fabricate forged items.
-    pub nodes: Vec<NodeId>,
-    /// When the forgery window opens.
-    pub start: SimTime,
-    /// When it closes.
-    pub end: SimTime,
-    /// Mean seconds between strikes against one node.
-    pub mean_interval_secs: f64,
-    /// Forged items fabricated per strike.
-    pub items_per_strike: u32,
-    /// Raw id of the publisher being impersonated.
-    pub publisher: u16,
-}
-
-/// A key-compromise window: the adversary holds `publisher`'s *real*
-/// signing key (exfiltrated from the trust registry) and, at Poisson
-/// intervals within `[start, end)`, strikes the listed nodes with
-/// [`CorruptionOp::StolenKey`] — fabricating validly-signed forged items
-/// and a bogus epoch attestation that verify correctly until the
-/// key-epoch is revoked. Expands exactly like [`ForgeSpec`], so the
-/// schedule replays bit-for-bit for a given `(seed, plan)` pair.
-#[derive(Debug, Clone)]
-pub struct KeyCompromiseSpec {
-    /// Nodes the adversary operates from during the window.
-    pub nodes: Vec<NodeId>,
-    /// When the key is stolen (first possible strike).
-    pub start: SimTime,
-    /// When the window closes (no strikes at or after this time).
-    pub end: SimTime,
-    /// Mean seconds between strikes against one node.
-    pub mean_interval_secs: f64,
-    /// Forged (validly signed) items fabricated per strike.
-    pub items_per_strike: u32,
-    /// How far above the signed authority each bogus attestation claims.
-    pub attest_bump: u32,
-    /// Raw id of the publisher whose key the adversary holds.
-    pub publisher: u16,
-}
-
-/// A Sybil burst: within `[start, end)`, the listed nodes are struck at
-/// Poisson intervals with [`CorruptionOp::SybilFlood`], each strike
-/// injecting `identities_per_strike` fabricated member identities into the
-/// striker's own leaf-zone table — where gossip, join, and reconcile
-/// peer-selection paths will encounter them. All Sybils in one spec vote
-/// the same fabricated epoch (drawn once from the plan stream, like
-/// [`CollusionScript::EpochCapture`]'s joint vote).
-#[derive(Debug, Clone)]
-pub struct SybilSpec {
-    /// Nodes that fabricate identities.
-    pub nodes: Vec<NodeId>,
-    /// When the burst starts.
-    pub start: SimTime,
-    /// When it stops.
-    pub end: SimTime,
-    /// Mean seconds between strikes against one node.
-    pub mean_interval_secs: f64,
-    /// Fabricated identities injected per strike.
-    pub identities_per_strike: u32,
-    /// Raw id of the publisher whose epoch the Sybils jointly vote.
-    pub publisher: u16,
+    /// Marks the nodes as one colluding group for `[start, end)`: their
+    /// strikes are also tallied as collusion strikes.
+    pub colluding: bool,
 }
 
 /// A liar window: the nodes run their outbound traffic through the
@@ -295,6 +181,9 @@ pub struct LiarSpec {
     pub end: Option<SimTime>,
     /// What the lie does and how often.
     pub behavior: LiarBehavior,
+    /// Marks the nodes as one colluding group for the window: their
+    /// intercepts are tallied as collusion intercepts, not solo lies.
+    pub colluding: bool,
 }
 
 /// A declarative, seeded schedule of faults.
@@ -317,18 +206,10 @@ pub struct FaultPlan {
     pub partitions: Vec<PartitionSpec>,
     /// Duplication/reordering windows.
     pub message_chaos: Vec<MessageChaosSpec>,
-    /// Adversarial state-corruption processes.
-    pub corruption: Vec<CorruptionSpec>,
+    /// Adversarial strike processes, expanded in order.
+    pub strikes: Vec<StrikeSpec>,
     /// Liar windows.
     pub liars: Vec<LiarSpec>,
-    /// Colluding-group scripts.
-    pub collusion: Vec<CollusionSpec>,
-    /// Item-forgery processes.
-    pub forgery: Vec<ForgeSpec>,
-    /// Key-compromise windows (stolen-key forgeries).
-    pub key_compromise: Vec<KeyCompromiseSpec>,
-    /// Sybil identity bursts.
-    pub sybil: Vec<SybilSpec>,
 }
 
 impl FaultPlan {
@@ -338,39 +219,13 @@ impl FaultPlan {
         self.churn.iter().flat_map(|c| c.nodes.iter().copied()).collect()
     }
 
-    /// Every node any brownout degrades.
-    pub fn grayed_nodes(&self) -> BTreeSet<NodeId> {
-        self.gray.iter().flat_map(|g| g.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any corruption process may strike.
-    pub fn corrupted_nodes(&self) -> BTreeSet<NodeId> {
-        self.corruption.iter().flat_map(|c| c.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any liar window covers.
-    pub fn liar_nodes(&self) -> BTreeSet<NodeId> {
-        self.liars.iter().flat_map(|l| l.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any collusion script binds.
-    pub fn colluding_nodes(&self) -> BTreeSet<NodeId> {
-        self.collusion.iter().flat_map(|c| c.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any forgery process may strike.
-    pub fn forging_nodes(&self) -> BTreeSet<NodeId> {
-        self.forgery.iter().flat_map(|f| f.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any key-compromise window operates from.
-    pub fn compromised_nodes(&self) -> BTreeSet<NodeId> {
-        self.key_compromise.iter().flat_map(|k| k.nodes.iter().copied()).collect()
-    }
-
-    /// Every node any Sybil burst strikes.
-    pub fn sybil_nodes(&self) -> BTreeSet<NodeId> {
-        self.sybil.iter().flat_map(|s| s.nodes.iter().copied()).collect()
+    /// Every node any strike process or liar window controls — the
+    /// adversary's footholds, whose own state the oracle cannot hold to
+    /// eventual delivery.
+    pub fn adversary_nodes(&self) -> BTreeSet<NodeId> {
+        let strikes = self.strikes.iter().flat_map(|s| s.nodes.iter());
+        let liars = self.liars.iter().flat_map(|l| l.nodes.iter());
+        strikes.chain(liars).copied().collect()
     }
 }
 
@@ -384,8 +239,9 @@ impl<N: Node> Simulation<N> {
     ///
     /// # Panics
     ///
-    /// Panics if any window in the plan starts in the simulated past, or if
-    /// a churn spec has a non-positive mean dwell.
+    /// Panics if any window in the plan starts in the simulated past, if a
+    /// churn spec has a non-positive mean dwell, or if a strike spec has a
+    /// non-positive mean interval.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         let mut rng = fork(self.seed() ^ plan.salt, PLAN_STREAM);
         for spec in &plan.churn {
@@ -437,18 +293,35 @@ impl<N: Node> Simulation<N> {
                 self.schedule_reorder(end, 0.0, SimDuration::ZERO);
             }
         }
-        for spec in &plan.corruption {
-            assert!(
-                spec.mean_interval_secs > 0.0,
-                "corruption spec needs a positive mean interval"
-            );
+        for spec in &plan.strikes {
+            assert!(spec.mean_interval_secs > 0.0, "strike spec needs a positive mean interval");
+            if spec.colluding {
+                assert!(spec.start < spec.end, "collusion window must end after it starts");
+                for &node in &spec.nodes {
+                    self.schedule_colluder(spec.start, node, true);
+                    self.schedule_colluder(spec.end, node, false);
+                }
+            }
+            // The joint vote: one fabricated epoch, drawn once per spec from
+            // the plan stream, asserted by every strike. High enough that no
+            // legitimate restart history reaches it.
+            let op = match spec.op {
+                CorruptionOp::VoteEpoch { publisher, .. } => {
+                    CorruptionOp::VoteEpoch { publisher, epoch: 100 + rng.gen_range(0u32..64) }
+                }
+                CorruptionOp::SybilFlood { identities, publisher, .. } => {
+                    let epoch = 100 + rng.gen_range(0u32..64);
+                    CorruptionOp::SybilFlood { identities, publisher, epoch }
+                }
+                op => op,
+            };
             let end = spec.end.since(SimTime::ZERO).as_secs_f64();
             for &node in &spec.nodes {
                 let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
                     + exp_sample(&mut rng, spec.mean_interval_secs);
                 while t < end {
                     let strike_seed: u64 = rng.gen();
-                    self.schedule_corruption(at_secs(t), node, spec.op, strike_seed);
+                    self.schedule_corruption(at_secs(t), node, op, strike_seed);
                     t += exp_sample(&mut rng, spec.mean_interval_secs);
                 }
             }
@@ -462,108 +335,11 @@ impl<N: Node> Simulation<N> {
                 if let Some(end) = spec.end {
                     self.schedule_liar(end, node, None);
                 }
-            }
-        }
-        for spec in &plan.collusion {
-            assert!(spec.start < spec.end, "collusion window must end after it starts");
-            for &node in &spec.nodes {
-                self.schedule_colluder(spec.start, node, true);
-                self.schedule_colluder(spec.end, node, false);
-            }
-            match spec.script {
-                CollusionScript::EpochCapture { publisher } => {
-                    assert!(
-                        spec.mean_interval_secs > 0.0,
-                        "epoch-capture script needs a positive mean interval"
-                    );
-                    // The joint vote: one fabricated epoch, drawn once from
-                    // the plan stream, asserted by every member. High enough
-                    // that no legitimate restart history reaches it.
-                    let epoch: u32 = 100 + rng.gen_range(0u32..64);
-                    let op = CorruptionOp::VoteEpoch { publisher, epoch };
-                    let end = spec.end.since(SimTime::ZERO).as_secs_f64();
-                    for &node in &spec.nodes {
-                        let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
-                            + exp_sample(&mut rng, spec.mean_interval_secs);
-                        while t < end {
-                            let strike_seed: u64 = rng.gen();
-                            self.schedule_corruption(at_secs(t), node, op, strike_seed);
-                            t += exp_sample(&mut rng, spec.mean_interval_secs);
-                        }
+                if spec.colluding {
+                    self.schedule_colluder(spec.start, node, true);
+                    if let Some(end) = spec.end {
+                        self.schedule_colluder(end, node, false);
                     }
-                }
-                CollusionScript::RoutePartition => {
-                    let behavior = LiarBehavior { mode: LiarMode::SelectiveDrop, prob: 1.0 };
-                    for &node in &spec.nodes {
-                        self.schedule_liar(spec.start, node, Some(behavior));
-                        self.schedule_liar(spec.end, node, None);
-                    }
-                }
-                CollusionScript::SplitBrain => {
-                    let behavior = LiarBehavior { mode: LiarMode::SplitBrain, prob: 1.0 };
-                    for &node in &spec.nodes {
-                        self.schedule_liar(spec.start, node, Some(behavior));
-                        self.schedule_liar(spec.end, node, None);
-                    }
-                }
-            }
-        }
-        for spec in &plan.forgery {
-            assert!(spec.mean_interval_secs > 0.0, "forge spec needs a positive mean interval");
-            let op = CorruptionOp::ForgeItems {
-                items: spec.items_per_strike,
-                publisher: spec.publisher,
-            };
-            let end = spec.end.since(SimTime::ZERO).as_secs_f64();
-            for &node in &spec.nodes {
-                let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
-                    + exp_sample(&mut rng, spec.mean_interval_secs);
-                while t < end {
-                    let strike_seed: u64 = rng.gen();
-                    self.schedule_corruption(at_secs(t), node, op, strike_seed);
-                    t += exp_sample(&mut rng, spec.mean_interval_secs);
-                }
-            }
-        }
-        for spec in &plan.key_compromise {
-            assert!(
-                spec.mean_interval_secs > 0.0,
-                "key-compromise spec needs a positive mean interval"
-            );
-            let op = CorruptionOp::StolenKey {
-                publisher: spec.publisher,
-                items: spec.items_per_strike,
-                attest_bump: spec.attest_bump,
-            };
-            let end = spec.end.since(SimTime::ZERO).as_secs_f64();
-            for &node in &spec.nodes {
-                let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
-                    + exp_sample(&mut rng, spec.mean_interval_secs);
-                while t < end {
-                    let strike_seed: u64 = rng.gen();
-                    self.schedule_corruption(at_secs(t), node, op, strike_seed);
-                    t += exp_sample(&mut rng, spec.mean_interval_secs);
-                }
-            }
-        }
-        for spec in &plan.sybil {
-            assert!(spec.mean_interval_secs > 0.0, "sybil spec needs a positive mean interval");
-            // Like the epoch-capture joint vote: one fabricated epoch per
-            // spec, drawn once from the plan stream, claimed by every Sybil.
-            let epoch: u32 = 100 + rng.gen_range(0u32..64);
-            let op = CorruptionOp::SybilFlood {
-                identities: spec.identities_per_strike,
-                publisher: spec.publisher,
-                epoch,
-            };
-            let end = spec.end.since(SimTime::ZERO).as_secs_f64();
-            for &node in &spec.nodes {
-                let mut t = spec.start.since(SimTime::ZERO).as_secs_f64()
-                    + exp_sample(&mut rng, spec.mean_interval_secs);
-                while t < end {
-                    let strike_seed: u64 = rng.gen();
-                    self.schedule_corruption(at_secs(t), node, op, strike_seed);
-                    t += exp_sample(&mut rng, spec.mean_interval_secs);
                 }
             }
         }
@@ -682,12 +458,13 @@ mod tests {
     fn corruption_spec_schedule_is_seed_deterministic() {
         let plan = FaultPlan {
             salt: 0xBAD,
-            corruption: vec![CorruptionSpec {
+            strikes: vec![StrikeSpec {
                 nodes: vec![NodeId(0), NodeId(1)],
                 start: SimTime::from_secs(5),
                 end: SimTime::from_secs(30),
                 mean_interval_secs: 4.0,
                 op: CorruptionOp::ZoneRows { rows: 3 },
+                colluding: false,
             }],
             ..FaultPlan::default()
         };
@@ -722,6 +499,7 @@ mod tests {
                 start: SimTime::from_secs(5),
                 end: Some(SimTime::from_secs(20)),
                 behavior: LiarBehavior { mode: LiarMode::SelectiveDrop, prob: 1.0 },
+                colluding: false,
             }],
             ..FaultPlan::default()
         };
@@ -742,6 +520,7 @@ mod tests {
                 start: SimTime::from_secs(5),
                 end: None,
                 behavior: LiarBehavior { mode: LiarMode::MisSummarize, prob: 1.0 },
+                colluding: false,
             }],
             ..FaultPlan::default()
         };
@@ -780,12 +559,13 @@ mod tests {
     fn collusion_epoch_capture_is_seed_deterministic() {
         let plan = FaultPlan {
             salt: 0xC0117,
-            collusion: vec![CollusionSpec {
+            strikes: vec![StrikeSpec {
                 nodes: vec![NodeId(0), NodeId(1)],
                 start: SimTime::from_secs(5),
                 end: SimTime::from_secs(30),
                 mean_interval_secs: 5.0,
-                script: CollusionScript::EpochCapture { publisher: 0 },
+                op: CorruptionOp::VoteEpoch { publisher: 0, epoch: 0 },
+                colluding: true,
             }],
             ..FaultPlan::default()
         };
@@ -824,12 +604,12 @@ mod tests {
     fn collusion_split_brain_lies_by_destination() {
         let plan = FaultPlan {
             salt: 0x5B,
-            collusion: vec![CollusionSpec {
+            liars: vec![LiarSpec {
                 nodes: vec![NodeId(0)],
                 start: SimTime::from_secs(2),
-                end: SimTime::from_secs(30),
-                mean_interval_secs: 5.0,
-                script: CollusionScript::SplitBrain,
+                end: Some(SimTime::from_secs(30)),
+                behavior: LiarBehavior { mode: LiarMode::SplitBrain, prob: 1.0 },
+                colluding: true,
             }],
             ..FaultPlan::default()
         };
@@ -847,13 +627,13 @@ mod tests {
     fn forge_spec_schedule_is_seed_deterministic() {
         let plan = FaultPlan {
             salt: 0xF06E,
-            forgery: vec![ForgeSpec {
+            strikes: vec![StrikeSpec {
                 nodes: vec![NodeId(1)],
                 start: SimTime::from_secs(5),
                 end: SimTime::from_secs(35),
                 mean_interval_secs: 6.0,
-                items_per_strike: 2,
-                publisher: 0,
+                op: CorruptionOp::ForgeItems { items: 2, publisher: 0 },
+                colluding: false,
             }],
             ..FaultPlan::default()
         };
@@ -875,14 +655,13 @@ mod tests {
     fn key_compromise_spec_schedule_is_seed_deterministic() {
         let plan = FaultPlan {
             salt: 0x5701E,
-            key_compromise: vec![KeyCompromiseSpec {
+            strikes: vec![StrikeSpec {
                 nodes: vec![NodeId(1)],
                 start: SimTime::from_secs(5),
                 end: SimTime::from_secs(35),
                 mean_interval_secs: 6.0,
-                items_per_strike: 2,
-                attest_bump: 3,
-                publisher: 0,
+                op: CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 3 },
+                colluding: false,
             }],
             ..FaultPlan::default()
         };
@@ -907,13 +686,13 @@ mod tests {
     fn sybil_spec_votes_one_epoch_and_replays() {
         let plan = FaultPlan {
             salt: 0x5B11,
-            sybil: vec![SybilSpec {
+            strikes: vec![StrikeSpec {
                 nodes: vec![NodeId(0), NodeId(1)],
                 start: SimTime::from_secs(5),
                 end: SimTime::from_secs(30),
                 mean_interval_secs: 5.0,
-                identities_per_strike: 4,
-                publisher: 0,
+                op: CorruptionOp::SybilFlood { identities: 4, publisher: 0, epoch: 0 },
+                colluding: false,
             }],
             ..FaultPlan::default()
         };

@@ -15,14 +15,16 @@
 //!   (write/fsync/read, newest unsynced writes lost on crash) and the three
 //!   recovery regimes: `Freeze` (volatile state survives), `ColdDurable`
 //!   (rebuild from disk), `ColdAmnesia` (rejoin from nothing).
-//! * [`Simulation`] — the engine: a priority queue of events ordered by
-//!   `(time, seq)`, per-node deterministic RNGs, traffic accounting.
+//! * [`Simulation`] — the engine: calendar queues of events ordered by
+//!   shard-count-invariant `(time, a, b)` keys, per-node deterministic RNGs,
+//!   traffic accounting.
 //! * [`NetworkModel`] — pluggable latency ([`LatencyModel`]), loss,
 //!   [`Partition`]s, per-node [`GrayProfile`] degradation, directed link
 //!   cuts, and duplication/reordering knobs.
 //! * [`FaultPlan`] — the chaos engine: declarative, seeded schedules of
-//!   Poisson churn, gray brownouts, link cuts, and message-chaos windows,
-//!   expanded deterministically by [`Simulation::apply_fault_plan`].
+//!   Poisson churn, gray brownouts, link cuts, message-chaos windows,
+//!   adversarial [`StrikeSpec`] processes and liar windows, expanded
+//!   deterministically by [`Simulation::apply_fault_plan`].
 //! * [`PhiAccrualDetector`] — adaptive phi-accrual failure detection
 //!   (Hayashibara et al.), shared by protocols that must distinguish
 //!   "slow" from "gone" without a fixed timeout cliff.
@@ -71,8 +73,8 @@ mod topology;
 
 pub use disk::{Disk, RestartMode};
 pub use faults::{
-    ChurnSpec, CollusionScript, CollusionSpec, CorruptionSpec, FaultPlan, ForgeSpec, GraySpec,
-    KeyCompromiseSpec, LiarSpec, LinkCutSpec, MessageChaosSpec, PartitionSpec, SybilSpec,
+    ChurnSpec, FaultPlan, GraySpec, LiarSpec, LinkCutSpec, MessageChaosSpec, PartitionSpec,
+    StrikeSpec,
 };
 pub use node::{
     Context, CorruptionOp, LiarAction, LiarBehavior, LiarMode, Node, NodeId, Payload, TimerId,

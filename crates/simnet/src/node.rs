@@ -44,7 +44,7 @@ impl From<u32> for NodeId {
 pub struct TimerId(pub(crate) u64);
 
 /// One flavor of adversarial state corruption the fault engine can inflict
-/// on a node (see `CorruptionSpec`). The engine handles [`CorruptionOp::DiskBytes`]
+/// on a node (see `StrikeSpec`). The engine handles [`CorruptionOp::DiskBytes`]
 /// itself (it owns the disks); the in-memory flavors are dispatched to the
 /// protocol through [`Node::apply_corruption`], so the engine stays generic
 /// over what a node's state looks like.
@@ -294,7 +294,7 @@ pub trait Node {
     }
 
     /// Invoked when a scheduled in-memory corruption strike hits this node
-    /// (see `CorruptionSpec`). The implementation scrambles its own live
+    /// (see `StrikeSpec`). The implementation scrambles its own live
     /// state as `op` directs, drawing any randomness it needs from `rng`
     /// (a stream private to the strike — never the node's protocol RNG).
     /// Returns how many units (rows, entries) were actually corrupted.

@@ -19,10 +19,10 @@
 //!   heap and are re-filed into the ring when their epoch arrives — each
 //!   entry is touched at most once more, so inserts stay O(1) amortized.
 //!
-//! The ordering key is `(time, a, b)`: the legacy engine uses
-//! `a = 0, b = global sequence` (bit-identical to the historical
-//! `(time, seq)` heap order), while the sharded engine uses the
-//! shard-count-invariant keys described in `sim.rs`.
+//! The ordering key is `(time, a, b)`. The engine fills `a` and `b` with
+//! its shard-count-invariant keys (destination/source lanes and per-lane
+//! sequence numbers, described in `sim.rs`); the queue itself only compares
+//! them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

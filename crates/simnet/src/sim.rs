@@ -5,25 +5,33 @@
 //! is a pure function of the master seed and the schedule of external
 //! inputs — the determinism every experiment in this reproduction relies on.
 //!
-//! # Execution modes
+//! # Shards
 //!
-//! The engine always runs over one or more internal **shards**, each owning a
-//! contiguous range of node ids with its own calendar-queue scheduler (see
-//! [`crate::sched`]), network-model copy and RNG streams.
+//! The engine runs over `k` internal **shards** (default 1; see
+//! [`Simulation::set_shards`] and the `SIMNET_SHARDS` environment variable),
+//! each owning a contiguous range of node ids with its own calendar-queue
+//! scheduler (see [`crate::sched`]) and network-model copy. There is one key
+//! scheme and one set of RNG streams, and neither depends on `k`:
 //!
-//! * **Legacy mode** (the default): one shard, events keyed
-//!   `(time, 0, global sequence)` — bit-identical to the historical single
-//!   `BinaryHeap` engine, preserving every recorded experiment.
-//! * **Sharded mode** ([`Simulation::set_shards`] or the `SIMNET_SHARDS`
-//!   environment variable): events carry *shard-count-invariant* keys and all
-//!   randomness is split into per-node streams, so the same seed produces
-//!   byte-identical telemetry whether the run uses 1 shard or 16. Shards
-//!   synchronize conservatively at windows bounded by the network's minimum
-//!   latency (the lookahead): a message sent in window `[W, W+L)` cannot
-//!   arrive before `W+L`, so shards never see each other's events early.
-//!   [`Simulation::run_until_parallel`] executes the same window plan with
-//!   one thread per shard and is byte-identical to the sequential path by
-//!   construction.
+//! * A node-emitted event is keyed `(time, dest << 32 | src, per-source
+//!   sequence)`, an externally scheduled one `(time, dest << 32 | EXT,
+//!   external sequence)`, and a network-global control event `(time, MAX,
+//!   external sequence)`.
+//! * Protocol, network and liar randomness are per-node streams forked from
+//!   the master seed by global node id.
+//!
+//! So the same seed produces byte-identical telemetry whether the run uses
+//! 1 shard or 16. With `k > 1`, shards synchronize conservatively at
+//! windows bounded by the network's minimum latency (the lookahead): a
+//! message sent in window `[W, W+L)` cannot arrive before `W+L`, so shards
+//! never see each other's events early. Each shard then writes into a
+//! scratch telemetry hub whose records are merged in key order at every
+//! window barrier. [`Simulation::run_until_parallel`] executes the same
+//! window plan with one thread per shard and is byte-identical to the
+//! sequential path by construction. With `k = 1` there is nothing to
+//! synchronize: the single shard writes straight into the master hub (its
+//! records are already in key order) and `run_until` drains one window to
+//! the deadline.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -54,34 +62,29 @@ fn drop_cause_code(cause: DropCause) -> u64 {
     }
 }
 
-/// Stream tag for the engine's dedicated liar RNG: interception draws must
-/// never touch the node or network streams, so an inert liar layer leaves
-/// every legacy run bit-identical.
-const LIAR_STREAM: u64 = 0x11A2_11A2_11A2_11A2;
-
-/// Base of the per-sender network RNG streams used in sharded mode (stream
-/// tag = base + sender id). Disjoint from the per-node protocol streams
-/// (small integers) and the legacy network stream (`u64::MAX`).
+/// Base of the per-sender network RNG streams (stream tag = base + sender
+/// id). Disjoint from the per-node protocol streams (small integers).
 const NET_STREAM_BASE: u64 = 0x4E45_5452_0000_0000;
 
-/// Base of the per-node liar RNG streams used in sharded mode.
+/// Base of the per-node liar RNG streams. Interception draws never touch the
+/// protocol or network streams, so an inert liar layer changes nothing.
 const LIAR_STREAM_BASE: u64 = 0x11A2_0000_0000_0000;
 
-/// `a`-key of network-global control events in sharded mode: sorts after
-/// every node event at the same instant, in every shard's queue.
+/// `a`-key of network-global control events: sorts after every node event
+/// at the same instant, in every shard's queue.
 const KEY_CONTROL: u64 = u64::MAX;
 
 /// Lane marker distinguishing externally injected events from node-emitted
-/// ones in the sharded `a`-key (no real node id equals it).
+/// ones in the `a`-key (no real node id equals it).
 const EXT_LANE: u64 = 0xFFFF_FFFF;
 
-/// Sharded-mode `a`-key of a node-emitted event: destination-major so all of
-/// one node's inbound traffic shares a lane, sub-ordered by source.
+/// `a`-key of a node-emitted event: destination-major so all of one node's
+/// inbound traffic shares a lane, sub-ordered by source.
 fn key_local(dest: u32, src: u32) -> u64 {
     (u64::from(dest) << 32) | u64::from(src)
 }
 
-/// Sharded-mode `a`-key of an externally injected per-node event.
+/// `a`-key of an externally injected per-node event.
 fn key_external(dest: u32) -> u64 {
     (u64::from(dest) << 32) | EXT_LANE
 }
@@ -143,7 +146,7 @@ fn drop_cause_slot(cause: DropCause) -> obs::CtrId {
 }
 
 /// One execution shard: a contiguous range of nodes, their queue, and every
-/// piece of state their events touch. In legacy mode there is exactly one.
+/// piece of state their events touch.
 struct Shard<N: Node> {
     index: usize,
     base: u32,
@@ -160,22 +163,16 @@ struct Shard<N: Node> {
     /// This shard's copy of the network model (control events are broadcast,
     /// so every copy applies the same mutations in the same key order).
     net: NetworkModel,
-    /// Legacy-mode network stream (single, shared).
-    net_rng: SmallRng,
-    /// Sharded-mode per-sender network streams (indexed by local id).
+    /// Per-sender network streams (indexed by local id).
     net_rngs: Vec<SmallRng>,
-    /// Legacy-mode liar stream (single, shared).
-    liar_rng: SmallRng,
-    /// Sharded-mode per-node liar streams, created lazily on first draw.
+    /// Per-node liar streams, created lazily on first draw.
     liar_rngs: HashMap<u32, SmallRng>,
     queue: EventQueue<EventKind<N::Msg>>,
     now: SimTime,
-    /// Legacy-mode global sequence counter (shard 0 only).
-    seq: u64,
-    /// Sharded-mode per-source `b`-key counters (indexed by local id).
+    /// Per-source `b`-key counters (indexed by local id).
     src_seq: Vec<u64>,
-    /// Timer-id allocator slots: one shared slot in legacy mode, one per
-    /// node (pre-seeded to disjoint ranges) in sharded mode.
+    /// Per-node timer-id allocators (indexed by local id), pre-seeded to
+    /// disjoint ranges.
     next_timer: Vec<u64>,
     /// Fire times of timers still queued, so a cancellation can be bounded
     /// to the timer's lifetime (entries leave when the timer event pops).
@@ -188,12 +185,11 @@ struct Shard<N: Node> {
     events_processed: u64,
     peak_queue: usize,
     seed: u64,
-    invariant: bool,
     per: u32,
     nshards: usize,
-    /// Sharded-mode scratch telemetry hub (owned, so the shard is `Send`);
-    /// drained into the master hub at window boundaries. `None` in legacy
-    /// mode — shard 0 writes straight into the master hub.
+    /// Scratch telemetry hub (owned, so the shard is `Send`), drained into
+    /// the master hub at window boundaries. `None` with a single shard,
+    /// which writes straight into the master hub.
     scratch: Option<TelemetryHub>,
     /// Cross-shard sends parked until the window barrier, one box per
     /// destination shard.
@@ -216,14 +212,9 @@ impl<N: Node> Shard<N> {
     /// Allocates the ordering key for an event emitted by `src` toward
     /// `dest` (timers use `dest == src`).
     fn key_for_emit(&mut self, src: NodeId, dest: NodeId) -> (u64, u64) {
-        if self.invariant {
-            let li = (src.0 - self.base) as usize;
-            self.src_seq[li] += 1;
-            (key_local(dest.0, src.0), self.src_seq[li])
-        } else {
-            self.seq += 1;
-            (0, self.seq)
-        }
+        let li = (src.0 - self.base) as usize;
+        self.src_seq[li] += 1;
+        (key_local(dest.0, src.0), self.src_seq[li])
     }
 
     /// Queues a delivery locally or parks it in the outbox of the owner
@@ -262,14 +253,12 @@ impl<N: Node> Shard<N> {
                 None
             };
             let node = &mut self.nodes[li];
-            let tslot =
-                if self.invariant { &mut self.next_timer[li] } else { &mut self.next_timer[0] };
             let mut ctx = Context {
                 id,
                 now: self.now,
                 rng: &mut self.node_rngs[li],
                 effects: &mut effects,
-                next_timer: tslot,
+                next_timer: &mut self.next_timer[li],
                 disk: &mut self.disks[li],
             };
             match cb {
@@ -287,30 +276,13 @@ impl<N: Node> Shard<N> {
                     // behavior may rewrite or swallow it on the way out.
                     if let Some(b) = self.liars.get(&id.0).copied() {
                         use rand::Rng;
-                        let invariant = self.invariant;
                         let seed = self.seed;
-                        let roll = {
-                            let r: &mut SmallRng = if invariant {
-                                self.liar_rngs.entry(id.0).or_insert_with(|| {
-                                    fork(seed, LIAR_STREAM_BASE + u64::from(id.0))
-                                })
-                            } else {
-                                &mut self.liar_rng
-                            };
-                            r.gen::<f64>() < b.prob
-                        };
-                        if roll {
-                            let action = if invariant {
-                                let r = self.liar_rngs.get_mut(&id.0).expect("liar rng installed");
-                                self.nodes[li].tamper_outbound(to, &mut msg, b.mode, r)
-                            } else {
-                                self.nodes[li].tamper_outbound(
-                                    to,
-                                    &mut msg,
-                                    b.mode,
-                                    &mut self.liar_rng,
-                                )
-                            };
+                        let r = self
+                            .liar_rngs
+                            .entry(id.0)
+                            .or_insert_with(|| fork(seed, LIAR_STREAM_BASE + u64::from(id.0)));
+                        if r.gen::<f64>() < b.prob {
+                            let action = self.nodes[li].tamper_outbound(to, &mut msg, b.mode, r);
                             if action != LiarAction::Pass {
                                 let mut hub = hub.borrow_mut();
                                 // A coordinated lie is attributed to the
@@ -355,11 +327,7 @@ impl<N: Node> Shard<N> {
                             }
                         }
                     }
-                    let route = {
-                        let r =
-                            if self.invariant { &mut self.net_rngs[li] } else { &mut self.net_rng };
-                        self.net.route(id, to, r)
-                    };
+                    let route = self.net.route(id, to, &mut self.net_rngs[li]);
                     match route {
                         RouteOutcome::Deliver { copies, jittered } => {
                             if jittered || copies.len() > 1 {
@@ -424,10 +392,10 @@ impl<N: Node> Shard<N> {
     ) {
         debug_assert!(t >= self.now, "event queue went backwards");
         self.now = t;
-        // Network-global control events are broadcast to every shard's queue
-        // in sharded mode; tally the logical event once (on shard 0) so
+        // Network-global control events are broadcast to every shard's
+        // queue; tally the logical event once (on shard 0) so
         // `events_processed` stays shard-count-invariant.
-        if !self.invariant || self.index == 0 || event_target(&kind_ev).is_some() {
+        if self.index == 0 || event_target(&kind_ev).is_some() {
             self.events_processed += 1;
         }
         match kind_ev {
@@ -687,16 +655,14 @@ impl<N: Node> Shard<N> {
                 break;
             }
             let (t, a, b, kind_ev) = self.queue.pop().expect("peeked entry vanished");
-            if self.invariant {
-                hub.borrow_mut().set_event_key(a, b);
-            }
+            hub.borrow_mut().set_event_key(a, b);
             self.process_event(hub, SimTime::from_micros(t), kind_ev);
         }
     }
 
     /// Runs a closure against this shard's effective hub: the scratch hub
     /// (re-wrapped in a transient `Rc` so the thread-local collector can
-    /// hold it) when sharded, the master hub in legacy mode.
+    /// hold it) when there is one, the master hub otherwise.
     fn with_hub<R>(
         &mut self,
         master: &Rc<RefCell<TelemetryHub>>,
@@ -724,8 +690,8 @@ impl<N: Node> Shard<N> {
         });
     }
 
-    /// Processes one window on a worker thread (sharded mode only; never
-    /// touches the master hub, so the closure is `Send`).
+    /// Processes one window on a worker thread (multi-shard runs only;
+    /// never touches the master hub, so the closure is `Send`).
     fn run_window_owned(&mut self, bound_us: u64) {
         let scr = self.scratch.take().expect("parallel run requires scratch hubs");
         let rc = Rc::new(RefCell::new(scr));
@@ -747,15 +713,7 @@ struct Staging<N: Node> {
     nodes: Vec<N>,
     node_rngs: Vec<SmallRng>,
     disks: Vec<Disk>,
-    events: Vec<StagedEvent<N::Msg>>,
-    peak: usize,
-    seq: u64,
-}
-
-struct StagedEvent<M> {
-    time: SimTime,
-    legacy_seq: u64,
-    kind: EventKind<M>,
+    events: Vec<(SimTime, EventKind<N::Msg>)>,
 }
 
 /// A deterministic discrete-event simulation over nodes of type `N`.
@@ -798,15 +756,13 @@ pub struct Simulation<N: Node> {
     now: SimTime,
     seed: u64,
     started: bool,
-    /// Sharded (shard-count-invariant) mode flag; false = legacy keys.
-    invariant: bool,
     shard_target: usize,
     /// How many of the newest unsynced disk writes a crash destroys
     /// (default: all of them).
     crash_unsynced_loss: usize,
     /// Whether sends also tally `BYTES_WIRE` (compressed-wire accounting).
     delta_accounting: bool,
-    /// Sharded-mode `b`-key counter for externally scheduled events.
+    /// `b`-key counter for externally scheduled events.
     ext_seq: u64,
     total: u32,
     per: u32,
@@ -832,19 +788,14 @@ impl<N: Node> Simulation<N> {
     /// randomness derived from `seed`.
     ///
     /// If the `SIMNET_SHARDS` environment variable is set to an integer
-    /// `k ≥ 1`, the simulation starts in sharded mode with that shard count,
-    /// exactly as if [`Simulation::set_shards`]`(k)` had been called.
+    /// `k ≥ 1`, the simulation uses that shard count, exactly as if
+    /// [`Simulation::set_shards`]`(k)` had been called.
     pub fn new(net: NetworkModel, seed: u64) -> Self {
-        let mut invariant = false;
-        let mut shard_target = 1usize;
-        if let Ok(v) = std::env::var("SIMNET_SHARDS") {
-            if let Ok(k) = v.trim().parse::<usize>() {
-                if k >= 1 {
-                    invariant = true;
-                    shard_target = k;
-                }
-            }
-        }
+        let shard_target = std::env::var("SIMNET_SHARDS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&k| k >= 1)
+            .unwrap_or(1);
         Simulation {
             hub: Rc::new(RefCell::new(TelemetryHub::new(seed))),
             shards: Vec::new(),
@@ -853,14 +804,11 @@ impl<N: Node> Simulation<N> {
                 node_rngs: Vec::new(),
                 disks: Vec::new(),
                 events: Vec::new(),
-                peak: 0,
-                seq: 0,
             }),
             net,
             now: SimTime::ZERO,
             seed,
             started: false,
-            invariant,
             shard_target,
             crash_unsynced_loss: usize::MAX,
             delta_accounting: crate::delta_mode(),
@@ -871,14 +819,12 @@ impl<N: Node> Simulation<N> {
         }
     }
 
-    /// Switches the simulation into sharded mode with `k` execution shards
-    /// (contiguous node-id ranges). In this mode event keys and RNG streams
-    /// are *shard-count-invariant*: the same seed yields byte-identical
-    /// telemetry for any `k`, including `k = 1` — but **not** identical to
-    /// legacy (default) mode, which keeps the historical single-heap
-    /// ordering. The effective count is clamped to the node count, and to 1
-    /// when the network's minimum latency is zero (no lookahead, no safe
-    /// window).
+    /// Sets the number of execution shards (contiguous node-id ranges;
+    /// default 1). The count only chooses how the run is split: event keys
+    /// and RNG streams never depend on it, so the same seed yields
+    /// byte-identical telemetry for any `k`. The effective count is clamped
+    /// to the node count, and to 1 when the network's minimum latency is
+    /// zero (no lookahead, no safe window).
     ///
     /// # Panics
     ///
@@ -886,7 +832,6 @@ impl<N: Node> Simulation<N> {
     pub fn set_shards(&mut self, k: usize) {
         assert!(!self.started, "cannot reconfigure shards after the simulation started");
         self.shard_target = k.max(1);
-        self.invariant = true;
     }
 
     /// The number of execution shards: the configured target before start,
@@ -934,7 +879,7 @@ impl<N: Node> Simulation<N> {
     /// Shared handle to this simulation's telemetry hub (the metrics
     /// registry plus the trace ring). Experiment harnesses read registry
     /// slots through this; protocol code inside callbacks reaches the same
-    /// hub through the `obs` thread-local collector. In sharded mode the
+    /// hub through the `obs` thread-local collector. With several shards the
     /// hub reflects merged shard state as of the last completed run call.
     pub fn telemetry(&self) -> Rc<RefCell<TelemetryHub>> {
         Rc::clone(&self.hub)
@@ -942,8 +887,8 @@ impl<N: Node> Simulation<N> {
 
     /// A non-destructive telemetry snapshot: every non-zero registry slot
     /// plus the retained trace records, stamped with the current simulated
-    /// time. Deterministic — same seed, same schedule ⇒ same snapshot (and
-    /// in sharded mode, the same bytes for any shard count).
+    /// time. Deterministic — same seed, same schedule ⇒ same snapshot, the
+    /// same bytes for any shard count.
     pub fn snapshot_telemetry(&self) -> Telemetry {
         let mut hub = self.hub.borrow_mut();
         hub.set_now_us(self.now.as_micros());
@@ -962,8 +907,8 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Caps the trace ring at `capacity` records (drop-oldest beyond it).
-    /// In sharded mode the cap applies to the *merged* ring, so retention is
-    /// identical for every shard count.
+    /// The cap applies to the *merged* ring, so retention is identical for
+    /// every shard count.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
         self.hub.borrow_mut().set_ring_capacity(capacity);
     }
@@ -1058,11 +1003,11 @@ impl<N: Node> Simulation<N> {
     }
 
     /// High-water mark of the event queue length (for capacity benchmarks).
-    /// In sharded mode this is the sum of per-shard high-water marks — an
-    /// upper bound on the true global peak.
+    /// With several shards this is the sum of per-shard high-water marks —
+    /// an upper bound on the true global peak.
     pub fn peak_queue_depth(&self) -> usize {
         if let Some(st) = &self.staging {
-            st.peak
+            st.events.len()
         } else {
             self.shards.iter().map(|s| s.peak_queue).sum()
         }
@@ -1153,19 +1098,15 @@ impl<N: Node> Simulation<N> {
     /// Queues an externally scheduled event (staged pre-start; routed to the
     /// owner shard or broadcast post-start).
     fn push(&mut self, time: SimTime, kind: EventKind<N::Msg>) {
-        if let Some(st) = self.staging.as_mut() {
-            st.seq += 1;
-            st.events.push(StagedEvent { time, legacy_seq: st.seq, kind });
-            st.peak = st.peak.max(st.events.len());
-            return;
+        match self.staging.as_mut() {
+            Some(st) => st.events.push((time, kind)),
+            None => self.push_external(time, kind),
         }
-        if !self.invariant {
-            let sh = &mut self.shards[0];
-            sh.seq += 1;
-            let b = sh.seq;
-            sh.push_keyed(time, 0, b, kind);
-            return;
-        }
+    }
+
+    /// Keys an external event from the external counter and queues it at
+    /// its owner shard, or at every shard for a control event.
+    fn push_external(&mut self, time: SimTime, kind: EventKind<N::Msg>) {
         self.ext_seq += 1;
         let b = self.ext_seq;
         match event_target(&kind) {
@@ -1329,10 +1270,10 @@ impl<N: Node> Simulation<N> {
         let n = st.nodes.len();
         self.total = n as u32;
         self.lookahead_us = self.net.min_latency().as_micros();
-        let mut k = if self.invariant { self.shard_target } else { 1 };
+        let mut k = self.shard_target;
         if self.lookahead_us == 0 {
             // Zero lookahead admits no safe window: fall back to one shard
-            // (the key scheme stays invariant, so telemetry is unchanged).
+            // (keys do not depend on the count, so telemetry is unchanged).
             k = 1;
         }
         k = k.clamp(1, n.max(1));
@@ -1355,25 +1296,14 @@ impl<N: Node> Simulation<N> {
                 crash_unsynced_loss: self.crash_unsynced_loss,
                 delta_accounting: self.delta_accounting,
                 net: self.net.clone(),
-                net_rng: fork(self.seed, u64::MAX),
-                net_rngs: if self.invariant {
-                    (base..base + count)
-                        .map(|g| fork(self.seed, NET_STREAM_BASE + g as u64))
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-                liar_rng: fork(self.seed, LIAR_STREAM),
+                net_rngs: (base..base + count)
+                    .map(|g| fork(self.seed, NET_STREAM_BASE + g as u64))
+                    .collect(),
                 liar_rngs: HashMap::new(),
                 queue: EventQueue::new(),
                 now: SimTime::ZERO,
-                seq: 0,
                 src_seq: vec![0; count],
-                next_timer: if self.invariant {
-                    (base..base + count).map(|g| ((g as u64) + 1) << 32).collect()
-                } else {
-                    vec![0]
-                },
+                next_timer: (base..base + count).map(|g| ((g as u64) + 1) << 32).collect(),
                 pending_timers: HashMap::new(),
                 cancelled: HashMap::new(),
                 liars: HashMap::new(),
@@ -1381,47 +1311,22 @@ impl<N: Node> Simulation<N> {
                 events_processed: 0,
                 peak_queue: 0,
                 seed: self.seed,
-                invariant: self.invariant,
                 per: per as u32,
                 nshards: k,
-                scratch: if self.invariant {
+                scratch: (k > 1).then(|| {
                     let mut h = TelemetryHub::new(self.seed);
                     h.ensure_nodes(n);
                     h.configure_as_scratch();
-                    Some(h)
-                } else {
-                    None
-                },
+                    h
+                }),
                 outboxes: (0..k).map(|_| Vec::new()).collect(),
             };
             self.shards.push(shard);
         }
-        if !self.invariant {
-            self.shards[0].seq = st.seq;
-            self.shards[0].peak_queue = st.peak;
-        }
 
-        // Distribute the staged schedule. Legacy keys were assigned at
-        // schedule time; invariant keys are assigned here, in schedule
-        // order, from the external counter.
-        for ev in st.events {
-            if !self.invariant {
-                self.shards[0].push_keyed(ev.time, 0, ev.legacy_seq, ev.kind);
-                continue;
-            }
-            self.ext_seq += 1;
-            let b = self.ext_seq;
-            match event_target(&ev.kind) {
-                Some(nid) => {
-                    let si = self.shard_index_of(nid);
-                    self.shards[si].push_keyed(ev.time, key_external(nid.0), b, ev.kind);
-                }
-                None => {
-                    for sh in &mut self.shards {
-                        sh.push_keyed(ev.time, KEY_CONTROL, b, ev.kind.clone());
-                    }
-                }
-            }
+        // Distribute the staged schedule, keyed in schedule order.
+        for (time, kind) in st.events {
+            self.push_external(time, kind);
         }
 
         // Start callbacks in global id order (shard ranges are contiguous,
@@ -1434,17 +1339,13 @@ impl<N: Node> Simulation<N> {
                 let _g = if obs::ENABLED { obs::collector::install_if_needed(hub) } else { None };
                 for li in 0..count {
                     let gid = base + li as u32;
-                    if sh.invariant {
-                        hub.borrow_mut().set_event_key(key_local(gid, gid), 0);
-                    }
+                    hub.borrow_mut().set_event_key(key_local(gid, gid), 0);
                     sh.dispatch_callback(hub, NodeId(gid), Callback::Start);
                 }
             });
         }
         self.flush_outboxes();
-        if self.invariant {
-            self.merge_window_traces();
-        }
+        self.merge_window_traces();
     }
 
     /// Moves every parked cross-shard event into its owner shard's queue.
@@ -1460,9 +1361,9 @@ impl<N: Node> Simulation<N> {
                 }
                 let moved = std::mem::take(&mut self.shards[src].outboxes[dst]);
                 for (t, a, b, kind_ev) in moved {
-                    // Conservative-sync invariant: a cross-shard arrival is
-                    // always at or beyond the window barrier, so it can
-                    // never land in the owner's past.
+                    // Conservative synchronization guarantees a cross-shard
+                    // arrival is always at or beyond the window barrier, so
+                    // it can never land in the owner's past.
                     debug_assert!(
                         t >= self.shards[dst].now.as_micros(),
                         "outbox flush into the past: shard {src} -> {dst}, \
@@ -1533,14 +1434,20 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Runs windows sequentially until every queue is past `deadline_us`.
+    /// A lone shard has nothing to synchronize with, so it takes a single
+    /// window to the deadline.
     fn run_windows(&mut self, deadline_us: u64) {
         let master = Rc::clone(&self.hub);
+        let end = deadline_us.saturating_add(1);
         while let Some(w) = self.earliest_time() {
             if w > deadline_us {
                 break;
             }
-            let bound =
-                w.saturating_add(self.lookahead_us.max(1)).min(deadline_us.saturating_add(1));
+            let bound = if self.shards.len() == 1 {
+                end
+            } else {
+                w.saturating_add(self.lookahead_us.max(1)).min(end)
+            };
             for sh in &mut self.shards {
                 sh.run_window(&master, bound);
             }
@@ -1555,17 +1462,9 @@ impl<N: Node> Simulation<N> {
     /// are empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        if !self.invariant {
-            let master = Rc::clone(&self.hub);
-            let sh = &mut self.shards[0];
-            let Some((t, _a, _b, kind_ev)) = sh.queue.pop() else { return false };
-            sh.process_event(&master, SimTime::from_micros(t), kind_ev);
-            self.now = self.now.max(sh.now);
-            return true;
-        }
-        // Sharded mode: pick the globally earliest key across shard queues,
-        // process just that event, then synchronize immediately (arrivals
-        // are at least one lookahead ahead, so the flush is always safe).
+        // Pick the globally earliest key across shard queues, process just
+        // that event, then synchronize immediately (arrivals are at least
+        // one lookahead ahead, so the flush is always safe).
         let mut best: Option<(usize, (u64, u64, u64))> = None;
         for (i, sh) in self.shards.iter_mut().enumerate() {
             if let Some(key) = sh.queue.peek_key() {
@@ -1595,16 +1494,8 @@ impl<N: Node> Simulation<N> {
     /// `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_if_needed();
-        let deadline_us = deadline.as_micros();
-        if !self.invariant {
-            let master = Rc::clone(&self.hub);
-            let sh = &mut self.shards[0];
-            sh.run_window(&master, deadline_us.saturating_add(1));
-            self.now = self.now.max(sh.now);
-        } else {
-            self.run_windows(deadline_us);
-            self.merge_shard_sets();
-        }
+        self.run_windows(deadline.as_micros());
+        self.merge_shard_sets();
         if self.now < deadline {
             self.now = deadline;
         }
@@ -1618,40 +1509,25 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Runs until the event queue is empty or at least `max_events` have
-    /// been processed, returning the number of events processed. In sharded
-    /// mode the budget is checked at synchronization-window granularity, so
+    /// been processed, returning the number of events processed. The budget
+    /// is checked at synchronization-window granularity (one lookahead), so
     /// the count may overshoot `max_events` by up to one window.
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         self.start_if_needed();
         let before = self.events_processed();
-        if !self.invariant {
-            let master = Rc::clone(&self.hub);
-            let _obs_guard =
-                if obs::ENABLED { obs::collector::install_if_needed(&master) } else { None };
-            let sh = &mut self.shards[0];
-            while sh.events_processed - before < max_events {
-                let Some((t, _a, _b, kind_ev)) = sh.queue.pop() else { break };
-                sh.process_event(&master, SimTime::from_micros(t), kind_ev);
+        let master = Rc::clone(&self.hub);
+        while self.events_processed() - before < max_events {
+            let Some(w) = self.earliest_time() else { break };
+            let bound = w.saturating_add(self.lookahead_us.max(1));
+            for sh in &mut self.shards {
+                sh.run_window(&master, bound);
             }
-            self.now = self.now.max(sh.now);
-        } else {
-            loop {
-                if self.events_processed() - before >= max_events {
-                    break;
-                }
-                let Some(w) = self.earliest_time() else { break };
-                let bound = w.saturating_add(self.lookahead_us.max(1));
-                let master = Rc::clone(&self.hub);
-                for sh in &mut self.shards {
-                    sh.run_window(&master, bound);
-                }
-                self.flush_outboxes();
-                self.merge_window_traces();
-            }
-            self.merge_shard_sets();
-            let latest = self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
-            self.now = self.now.max(latest);
+            self.flush_outboxes();
+            self.merge_window_traces();
         }
+        self.merge_shard_sets();
+        let latest = self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
+        self.now = self.now.max(latest);
         self.events_processed() - before
     }
 }
@@ -1962,8 +1838,8 @@ mod tests {
 
     /// A fault-heavy scenario (chaos + partition + crash/recover + liar +
     /// colluder + corruption) whose telemetry must be byte-identical for
-    /// every shard count in invariant mode.
-    fn chaos_scenario(shards: usize, parallel: bool) -> (String, Vec<Vec<(NodeId, u32)>>) {
+    /// every shard count. `None` leaves the simulation default-constructed.
+    fn chaos_scenario(shards: Option<usize>, parallel: bool) -> (String, Vec<Vec<(NodeId, u32)>>) {
         let mut sim = Simulation::new(
             NetworkModel {
                 latency: crate::topology::LatencyModel::Uniform {
@@ -1975,7 +1851,9 @@ mod tests {
             },
             4242,
         );
-        sim.set_shards(shards);
+        if let Some(k) = shards {
+            sim.set_shards(k);
+        }
         let n = 8u32;
         for i in 0..n {
             sim.add_node(Echo { peer: Some(NodeId((i + 1) % n)), ..Default::default() });
@@ -2020,16 +1898,19 @@ mod tests {
 
     #[test]
     fn sharded_invariant_mode_matches_across_shard_counts() {
-        let one = chaos_scenario(1, false);
-        let four = chaos_scenario(4, false);
+        let default = chaos_scenario(None, false);
+        let one = chaos_scenario(Some(1), false);
+        let four = chaos_scenario(Some(4), false);
+        assert_eq!(default.1, one.1, "node states diverged between default and one shard");
+        assert_eq!(default.0, one.0, "telemetry diverged between default and one shard");
         assert_eq!(one.1, four.1, "node states diverged between shard counts");
         assert_eq!(one.0, four.0, "telemetry diverged between shard counts");
     }
 
     #[test]
     fn parallel_execution_is_byte_identical_to_sequential() {
-        let seq = chaos_scenario(4, false);
-        let par = chaos_scenario(4, true);
+        let seq = chaos_scenario(Some(4), false);
+        let par = chaos_scenario(Some(4), true);
         assert_eq!(seq.1, par.1, "node states diverged under parallel execution");
         assert_eq!(seq.0, par.0, "telemetry diverged under parallel execution");
     }

@@ -3,11 +3,12 @@
 //! A small anti-entropy protocol (version vectors gossiped over a ring plus
 //! random peers) runs under the nastiest fault cocktail the engine offers —
 //! crash/cold-restart, partition, gray links, duplication, reordering, drops,
-//! a Byzantine liar and a colluder pair, disk corruption. In invariant
-//! (sharded) mode the same seed must produce *byte-identical* telemetry and
-//! identical node states for every shard count, sequential or
-//! thread-parallel. This is the contract CI pins: `SIMNET_SHARDS=1` and
-//! `SIMNET_SHARDS=4` runs of the determinism suite may be diffed directly.
+//! a Byzantine liar and a colluder pair, disk corruption. The same seed must
+//! produce *byte-identical* telemetry and identical node states for every
+//! shard count, sequential or thread-parallel, and a default-constructed
+//! simulation must match them all. This is the contract CI pins: default
+//! and `SIMNET_SHARDS=4` runs of the determinism suite may be diffed
+//! directly.
 
 use std::collections::BTreeMap;
 
@@ -76,7 +77,8 @@ impl Node for VvNode {
 type RunResult = (String, Vec<(BTreeMap<u32, u64>, u64)>, u64);
 
 /// Runs the chaos cocktail and returns the run's observable outcome.
-fn run(shards: usize, parallel: bool) -> RunResult {
+/// `None` leaves the shard count at its default (no `set_shards` call).
+fn run(shards: Option<usize>, parallel: bool) -> RunResult {
     let n = 12u32;
     let mut sim = Simulation::new(
         NetworkModel {
@@ -89,7 +91,9 @@ fn run(shards: usize, parallel: bool) -> RunResult {
         },
         0xD15C0,
     );
-    sim.set_shards(shards);
+    if let Some(k) = shards {
+        sim.set_shards(k);
+    }
     for _ in 0..n {
         sim.add_node(VvNode { n, ..Default::default() });
     }
@@ -144,9 +148,13 @@ fn run(shards: usize, parallel: bool) -> RunResult {
 
 #[test]
 fn telemetry_is_byte_identical_across_shard_counts() {
-    let one = run(1, false);
-    let two = run(2, false);
-    let four = run(4, false);
+    let default = run(None, false);
+    let one = run(Some(1), false);
+    let two = run(Some(2), false);
+    let four = run(Some(4), false);
+    assert_eq!(default.2, one.2, "event counts diverged (default vs 1 shard)");
+    assert_eq!(default.1, one.1, "node states diverged (default vs 1 shard)");
+    assert_eq!(default.0, one.0, "telemetry diverged (default vs 1 shard)");
     assert_eq!(one.2, two.2, "event counts diverged (1 vs 2 shards)");
     assert_eq!(one.2, four.2, "event counts diverged (1 vs 4 shards)");
     assert_eq!(one.1, two.1, "node states diverged (1 vs 2 shards)");
@@ -157,8 +165,10 @@ fn telemetry_is_byte_identical_across_shard_counts() {
 
 #[test]
 fn parallel_matches_sequential_at_four_shards() {
-    let seq = run(4, false);
-    let par = run(4, true);
+    let default = run(None, false);
+    let seq = run(Some(4), false);
+    let par = run(Some(4), true);
+    assert_eq!(default, par, "default run diverged from the threaded one");
     assert_eq!(seq.2, par.2, "event counts diverged under threads");
     assert_eq!(seq.1, par.1, "node states diverged under threads");
     assert_eq!(seq.0, par.0, "telemetry diverged under threads");
@@ -166,5 +176,5 @@ fn parallel_matches_sequential_at_four_shards() {
 
 #[test]
 fn rerun_is_deterministic() {
-    assert_eq!(run(4, false), run(4, false));
+    assert_eq!(run(Some(4), false), run(Some(4), false));
 }

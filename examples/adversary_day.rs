@@ -17,8 +17,8 @@ use std::collections::BTreeSet;
 use baselines::{FlashCrowdSpec, SubscriptionChurnSpec};
 use newswire::{self_stabilized, tech_news_deployment, Subscription};
 use simnet::{
-    CorruptionOp, CorruptionSpec, FaultPlan, LiarBehavior, LiarMode, LiarSpec, NodeId, SimDuration,
-    SimTime,
+    CorruptionOp, FaultPlan, LiarBehavior, LiarMode, LiarSpec, NodeId, SimDuration, SimTime,
+    StrikeSpec,
 };
 
 fn main() {
@@ -37,20 +37,22 @@ fn main() {
     let (start, end) = (SimTime::from_secs(120), SimTime::from_secs(240));
     let plan = FaultPlan {
         salt: 0xAD5,
-        corruption: vec![
-            CorruptionSpec {
+        strikes: vec![
+            StrikeSpec {
                 nodes: vec![NodeId(5), NodeId(29), NodeId(53)],
                 start,
                 end,
                 mean_interval_secs: 8.0,
                 op: CorruptionOp::ZoneRows { rows: 3 },
+                colluding: false,
             },
-            CorruptionSpec {
+            StrikeSpec {
                 nodes: vec![NodeId(11), NodeId(41)],
                 start,
                 end,
                 mean_interval_secs: 12.0,
                 op: CorruptionOp::LogEpoch { entries: 4 },
+                colluding: false,
             },
         ],
         liars: vec![LiarSpec {
@@ -58,6 +60,7 @@ fn main() {
             start,
             end: Some(end),
             behavior: LiarBehavior { mode: LiarMode::MisSummarize, prob: 1.0 },
+            colluding: false,
         }],
         ..FaultPlan::default()
     };

@@ -17,7 +17,10 @@ use std::collections::BTreeSet;
 
 use baselines::FlashCrowdSpec;
 use newswire::{self_stabilized, tech_news_deployment};
-use simnet::{CollusionScript, CollusionSpec, FaultPlan, ForgeSpec, NodeId, SimDuration, SimTime};
+use simnet::{
+    CorruptionOp, FaultPlan, LiarBehavior, LiarMode, LiarSpec, NodeId, SimDuration, SimTime,
+    StrikeSpec,
+};
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0xB12);
@@ -35,31 +38,32 @@ fn main() {
     let (start, end) = (SimTime::from_secs(120), SimTime::from_secs(240));
     let plan = FaultPlan {
         salt: 0xB12,
-        collusion: vec![
-            CollusionSpec {
+        strikes: vec![
+            StrikeSpec {
                 // Adjacent ids: the cartel shares a leaf zone, the paper's
                 // captured-neighborhood scenario.
                 nodes: vec![NodeId(5), NodeId(6), NodeId(7), NodeId(8)],
                 start,
                 end,
                 mean_interval_secs: 7.0,
-                script: CollusionScript::EpochCapture { publisher: 0 },
+                op: CorruptionOp::VoteEpoch { publisher: 0, epoch: 0 },
+                colluding: true,
             },
-            CollusionSpec {
-                nodes: vec![NodeId(29), NodeId(30)],
+            StrikeSpec {
+                nodes: vec![NodeId(53), NodeId(54)],
                 start,
                 end,
-                mean_interval_secs: 7.0,
-                script: CollusionScript::SplitBrain,
+                mean_interval_secs: 10.0,
+                op: CorruptionOp::ForgeItems { items: 3, publisher: 0 },
+                colluding: false,
             },
         ],
-        forgery: vec![ForgeSpec {
-            nodes: vec![NodeId(53), NodeId(54)],
+        liars: vec![LiarSpec {
+            nodes: vec![NodeId(29), NodeId(30)],
             start,
-            end,
-            mean_interval_secs: 10.0,
-            items_per_strike: 3,
-            publisher: 0,
+            end: Some(end),
+            behavior: LiarBehavior { mode: LiarMode::SplitBrain, prob: 1.0 },
+            colluding: true,
         }],
         ..FaultPlan::default()
     };
@@ -104,8 +108,7 @@ fn main() {
     // of gossip rounds. Byzantine nodes are exempt from eventual delivery
     // only — their state was puppeted and quarantine legitimately isolates
     // them.
-    let mut exempt: BTreeSet<NodeId> = plan.colluding_nodes();
-    exempt.extend(plan.forging_nodes());
+    let exempt: BTreeSet<NodeId> = plan.adversary_nodes();
     let verdict = self_stabilized(&mut d, &items, &exempt, 60);
     print!("{verdict}");
     assert!(verdict.report.no_forged_delivery(), "no forged item may reach any application");

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile};
 use newswire::{self_stabilized, DeploymentBuilder, NewsWireConfig, PublisherSpec};
-use simnet::{FaultPlan, KeyCompromiseSpec, NodeId, SimTime, SybilSpec};
+use simnet::{CorruptionOp, FaultPlan, NodeId, SimTime, StrikeSpec};
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0x715);
@@ -58,23 +58,24 @@ fn main() {
     let (start, end) = (SimTime::from_secs(120), SimTime::from_secs(240));
     let plan = FaultPlan {
         salt: 0x715,
-        key_compromise: vec![KeyCompromiseSpec {
-            nodes: vec![NodeId(17), NodeId(41)],
-            start,
-            end,
-            mean_interval_secs: 8.0,
-            items_per_strike: 3,
-            attest_bump: 2,
-            publisher: 0,
-        }],
-        sybil: vec![SybilSpec {
-            nodes: vec![NodeId(63)],
-            start,
-            end,
-            mean_interval_secs: 9.0,
-            identities_per_strike: 8,
-            publisher: 0,
-        }],
+        strikes: vec![
+            StrikeSpec {
+                nodes: vec![NodeId(17), NodeId(41)],
+                start,
+                end,
+                mean_interval_secs: 8.0,
+                op: CorruptionOp::StolenKey { publisher: 0, items: 3, attest_bump: 2 },
+                colluding: false,
+            },
+            StrikeSpec {
+                nodes: vec![NodeId(63)],
+                start,
+                end,
+                mean_interval_secs: 9.0,
+                op: CorruptionOp::SybilFlood { identities: 8, publisher: 0, epoch: 0 },
+                colluding: false,
+            },
+        ],
         ..FaultPlan::default()
     };
     d.sim.apply_fault_plan(&plan);
@@ -119,8 +120,7 @@ fn main() {
     // restored within a bounded number of gossip rounds. The adversary's
     // footholds are exempt from eventual delivery only — their state was
     // puppeted directly.
-    let mut exempt: BTreeSet<NodeId> = plan.compromised_nodes();
-    exempt.extend(plan.sybil_nodes());
+    let exempt: BTreeSet<NodeId> = plan.adversary_nodes();
     let verdict = self_stabilized(&mut d, &items, &exempt, 60);
     print!("{verdict}");
     for (id, node) in d.sim.iter() {

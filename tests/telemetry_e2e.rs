@@ -145,27 +145,29 @@ fn same_seed_cold_restart_run_drains_identical_telemetry() {
 #[test]
 fn same_seed_adversary_run_drains_identical_telemetry() {
     use newswire::self_stabilized;
-    use simnet::{CorruptionOp, CorruptionSpec, LiarBehavior, LiarMode, LiarSpec};
+    use simnet::{CorruptionOp, LiarBehavior, LiarMode, LiarSpec, StrikeSpec};
 
     fn adversary_run(seed: u64) -> (String, String) {
         let mut d = tech_news_deployment(40, seed);
         d.settle(60);
         d.sim.apply_fault_plan(&FaultPlan {
             salt: 0xAD,
-            corruption: vec![
-                CorruptionSpec {
+            strikes: vec![
+                StrikeSpec {
                     nodes: vec![NodeId(4), NodeId(19)],
                     start: SimTime::from_secs(65),
                     end: SimTime::from_secs(95),
                     mean_interval_secs: 5.0,
                     op: CorruptionOp::ZoneRows { rows: 2 },
+                    colluding: false,
                 },
-                CorruptionSpec {
+                StrikeSpec {
                     nodes: vec![NodeId(9)],
                     start: SimTime::from_secs(65),
                     end: SimTime::from_secs(95),
                     mean_interval_secs: 9.0,
                     op: CorruptionOp::LogEpoch { entries: 3 },
+                    colluding: false,
                 },
             ],
             liars: vec![LiarSpec {
@@ -173,6 +175,7 @@ fn same_seed_adversary_run_drains_identical_telemetry() {
                 start: SimTime::from_secs(65),
                 end: Some(SimTime::from_secs(95)),
                 behavior: LiarBehavior { mode: LiarMode::MisSummarize, prob: 1.0 },
+                colluding: false,
             }],
             ..FaultPlan::default()
         });
@@ -223,7 +226,7 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
     use amcast::RangeSummary;
     use astrolabe::{KeyId, Signature};
     use newswire::{self_stabilized, NewsWireMsg, SignedItem};
-    use simnet::{CollusionScript, CollusionSpec, ForgeSpec};
+    use simnet::{CorruptionOp, LiarBehavior, LiarMode, LiarSpec, StrikeSpec};
     use std::collections::BTreeSet;
 
     fn byzantine_run(seed: u64) -> (String, String) {
@@ -231,29 +234,30 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
         d.settle(60);
         let plan = FaultPlan {
             salt: 0xB2,
-            collusion: vec![
-                CollusionSpec {
+            strikes: vec![
+                StrikeSpec {
                     nodes: vec![NodeId(5), NodeId(11), NodeId(17)],
                     start: SimTime::from_secs(65),
                     end: SimTime::from_secs(95),
                     mean_interval_secs: 6.0,
-                    script: CollusionScript::EpochCapture { publisher: 0 },
+                    op: CorruptionOp::VoteEpoch { publisher: 0, epoch: 0 },
+                    colluding: true,
                 },
-                CollusionSpec {
-                    nodes: vec![NodeId(22), NodeId(28)],
+                StrikeSpec {
+                    nodes: vec![NodeId(33)],
                     start: SimTime::from_secs(65),
                     end: SimTime::from_secs(95),
-                    mean_interval_secs: 6.0,
-                    script: CollusionScript::SplitBrain,
+                    mean_interval_secs: 8.0,
+                    op: CorruptionOp::ForgeItems { items: 2, publisher: 0 },
+                    colluding: false,
                 },
             ],
-            forgery: vec![ForgeSpec {
-                nodes: vec![NodeId(33)],
+            liars: vec![LiarSpec {
+                nodes: vec![NodeId(22), NodeId(28)],
                 start: SimTime::from_secs(65),
-                end: SimTime::from_secs(95),
-                mean_interval_secs: 8.0,
-                items_per_strike: 2,
-                publisher: 0,
+                end: Some(SimTime::from_secs(95)),
+                behavior: LiarBehavior { mode: LiarMode::SplitBrain, prob: 1.0 },
+                colluding: true,
             }],
             ..FaultPlan::default()
         };
@@ -299,8 +303,7 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
             },
         );
         d.settle(55); // rides out the Byzantine window to t=115
-        let mut exempt: BTreeSet<NodeId> = plan.colluding_nodes();
-        exempt.extend(plan.forging_nodes());
+        let exempt: BTreeSet<NodeId> = plan.adversary_nodes();
         let verdict = self_stabilized(&mut d, &items, &exempt, 30);
         assert!(verdict.stabilized, "defenses-on byzantine run must stabilize");
         let t = d.sim.drain_telemetry();
@@ -345,7 +348,7 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
 #[test]
 fn same_seed_trust_rotation_run_drains_identical_telemetry() {
     use newswire::self_stabilized;
-    use simnet::{KeyCompromiseSpec, SybilSpec};
+    use simnet::{CorruptionOp, StrikeSpec};
     use std::collections::BTreeSet;
 
     fn trust_run(seed: u64) -> (String, String) {
@@ -359,23 +362,24 @@ fn same_seed_trust_rotation_run_drains_identical_telemetry() {
         d.settle(60);
         let plan = FaultPlan {
             salt: 0x15,
-            key_compromise: vec![KeyCompromiseSpec {
-                nodes: vec![NodeId(6), NodeId(21)],
-                start: SimTime::from_secs(70),
-                end: SimTime::from_secs(110),
-                mean_interval_secs: 4.0,
-                items_per_strike: 2,
-                attest_bump: 1,
-                publisher: 0,
-            }],
-            sybil: vec![SybilSpec {
-                nodes: vec![NodeId(13)],
-                start: SimTime::from_secs(65),
-                end: SimTime::from_secs(110),
-                mean_interval_secs: 5.0,
-                identities_per_strike: 6,
-                publisher: 0,
-            }],
+            strikes: vec![
+                StrikeSpec {
+                    nodes: vec![NodeId(6), NodeId(21)],
+                    start: SimTime::from_secs(70),
+                    end: SimTime::from_secs(110),
+                    mean_interval_secs: 4.0,
+                    op: CorruptionOp::StolenKey { publisher: 0, items: 2, attest_bump: 1 },
+                    colluding: false,
+                },
+                StrikeSpec {
+                    nodes: vec![NodeId(13)],
+                    start: SimTime::from_secs(65),
+                    end: SimTime::from_secs(110),
+                    mean_interval_secs: 5.0,
+                    op: CorruptionOp::SybilFlood { identities: 6, publisher: 0, epoch: 0 },
+                    colluding: false,
+                },
+            ],
             ..FaultPlan::default()
         };
         d.sim.apply_fault_plan(&plan);
@@ -394,8 +398,7 @@ fn same_seed_trust_rotation_run_drains_identical_telemetry() {
         // keep striking, so the admission-path fences fire on live traffic.
         d.schedule_rotation(SimTime::from_secs(90), PublisherId(0), 3);
         d.settle(90); // rides out the compromise window to t=150
-        let mut exempt: BTreeSet<NodeId> = plan.compromised_nodes();
-        exempt.extend(plan.sybil_nodes());
+        let exempt: BTreeSet<NodeId> = plan.adversary_nodes();
         let verdict = self_stabilized(&mut d, &items, &exempt, 30);
         assert!(verdict.stabilized, "defenses-on trust-rotation run must stabilize");
         assert!(
