@@ -4,7 +4,8 @@
 //! of the news item meta-data; this can be used to remove duplicates, when
 //! … we use multiple representatives to forward a new item, to increase the
 //! robustness of the delivery." A bounded window keeps memory constant on
-//! long-running forwarders.
+//! long-running forwarders; it grows on demand up to its bound, so the many
+//! nodes that see little traffic never pay for the full window.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -33,7 +34,7 @@ impl DedupWindow {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "dedup window needs capacity");
-        DedupWindow { seen: HashSet::with_capacity(capacity), order: VecDeque::new(), capacity }
+        DedupWindow { seen: HashSet::new(), order: VecDeque::new(), capacity }
     }
 
     /// Records `id`; returns `true` when it was not already in the window
@@ -90,11 +91,7 @@ impl CoverageWindow {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "coverage window needs capacity");
-        CoverageWindow {
-            seen: std::collections::HashMap::with_capacity(capacity),
-            order: VecDeque::new(),
-            capacity,
-        }
+        CoverageWindow { seen: std::collections::HashMap::new(), order: VecDeque::new(), capacity }
     }
 
     /// Records forwarding duty for `id` at `zone_depth`; returns `true`

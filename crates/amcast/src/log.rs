@@ -64,7 +64,7 @@ impl ForwardLog {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "log needs capacity");
-        ForwardLog { records: VecDeque::with_capacity(capacity.min(1024)), capacity, total: 0 }
+        ForwardLog { records: VecDeque::new(), capacity, total: 0 }
     }
 
     /// Appends a record, evicting the oldest beyond capacity.

@@ -258,7 +258,16 @@ impl<T> SeqLog<T> {
     /// restored log reports the same summary, floor and gaps as the
     /// snapshotted one.
     pub fn encode_coverage(&self) -> String {
-        format!("{}:{}:{}:{}", self.epoch, self.floor, self.next, self.total)
+        let mut out = String::new();
+        self.write_coverage(&mut out);
+        out
+    }
+
+    /// Appends [`SeqLog::encode_coverage`]'s text to `out` without an
+    /// intermediate allocation (snapshot encoders reuse one buffer).
+    pub fn write_coverage(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{}:{}:{}:{}", self.epoch, self.floor, self.next, self.total);
     }
 
     /// Re-imposes snapshotted coverage on a log whose surviving entries have

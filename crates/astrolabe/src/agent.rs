@@ -367,9 +367,15 @@ impl Agent {
 
     /// Sets an attribute of this agent's own MIB row (takes effect at the
     /// next tick). `id`, `reps` and `nmembers` are reserved and overwritten
-    /// by the agent.
+    /// by the agent. Re-setting a bit-identical value is a no-op, so an
+    /// unchanged row keeps being re-stamped from its cached build rather
+    /// than rebuilt and re-hashed.
     pub fn set_local_attr(&mut self, name: &str, value: impl Into<AttrValue>) {
-        self.local.set(name, value.into());
+        let value = value.into();
+        if self.local.get(name).is_some_and(|held| held.identical(&value)) {
+            return;
+        }
+        self.local.set(name, value);
         self.local_gen += 1;
     }
 
@@ -1513,6 +1519,30 @@ mod tests {
         config.branching = branching;
         config.delta_gossip = true;
         (0..n).map(|i| Agent::new(i, &layout, config.clone(), vec![0])).collect()
+    }
+
+    #[test]
+    fn resetting_an_identical_local_attr_keeps_the_own_row_shared() {
+        let mut agents = make_agents(1, 4);
+        let a = &mut agents[0];
+        let mut rng = fork(42, 0);
+        let mut tick = |a: &mut Agent, secs: u64| {
+            a.on_tick(SimTime::from_secs(secs), &mut rng);
+            Arc::clone(a.table(0).get(a.own_label(0)).expect("own row"))
+        };
+        a.set_local_attr("load", 0.0);
+        let first = tick(a, 1);
+        a.set_local_attr("load", 0.0);
+        let second = tick(a, 2);
+        assert!(second.newer_than(&first), "re-stamped");
+        assert!(second.shares_attrs(&first), "an identical set must not rebuild the row");
+        a.set_local_attr("load", -0.0);
+        let third = tick(a, 3);
+        assert!(!third.shares_attrs(&second), "0.0 -> -0.0 is a change");
+        assert_eq!(
+            third.get("load").and_then(AttrValue::as_f64).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
     }
 
     #[test]

@@ -43,6 +43,15 @@ impl AttrValue {
         }
     }
 
+    /// Bit-for-bit equality: `==`, except that floats compare by bit
+    /// pattern, so `0.0` and `-0.0` differ and a NaN equals itself.
+    pub fn identical(&self, other: &AttrValue) -> bool {
+        match (self, other) {
+            (AttrValue::Float(a), AttrValue::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
+
     /// Numeric view: `Int` and `Float` coerce to `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -177,12 +177,11 @@ impl Subject {
 
 impl fmt::Display for Subject {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.path.iter().map(|c| format!("{c:03}")).collect();
         // Top level uses two digits, like IPTC codes; deeper levels three.
-        if let Some((first, rest)) = parts.split_first() {
-            write!(f, "{:02}", first.parse::<u16>().unwrap_or(0))?;
-            for r in rest {
-                write!(f, ".{r}")?;
+        if let Some((first, rest)) = self.path.split_first() {
+            write!(f, "{first:02}")?;
+            for c in rest {
+                write!(f, ".{c:03}")?;
             }
         }
         Ok(())
@@ -241,6 +240,13 @@ mod tests {
             let subj: Subject = s.parse().unwrap();
             assert_eq!(subj.to_string(), s);
         }
+    }
+
+    #[test]
+    fn subject_display_pads_without_truncating() {
+        assert_eq!(Subject::new(vec![7]).to_string(), "07");
+        assert_eq!(Subject::new(vec![123, 7, 1000]).to_string(), "123.007.1000");
+        assert_eq!(Subject::new(vec![0, 65535]).key(), "00.65535");
     }
 
     #[test]

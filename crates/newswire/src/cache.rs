@@ -11,6 +11,7 @@
 //! to participants that are joining the system."
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use newsml::{ItemId, NewsItem, PublisherId};
 use simnet::{SimDuration, SimTime};
@@ -44,11 +45,18 @@ impl Default for CachePolicy {
 }
 
 /// The per-node news-item cache.
+///
+/// Items are stored as `Arc<NewsItem>`: an admitted item is immutable, so
+/// every node that caches it shares the one allocation the publisher made,
+/// and repair, reconcile and state-transfer replies hand out refcount
+/// bumps rather than deep copies.
 #[derive(Debug)]
 pub struct MessageCache {
     policy: CachePolicy,
-    items: BTreeMap<ItemId, (NewsItem, SimTime)>,
-    latest_by_slug: HashMap<(PublisherId, String), ItemId>,
+    items: BTreeMap<ItemId, (Arc<NewsItem>, SimTime)>,
+    /// Latest cached revision per story, keyed publisher → slug so a
+    /// lookup borrows the slug instead of building an owned key.
+    latest_by_slug: HashMap<PublisherId, HashMap<String, ItemId>>,
     highwater: BTreeMap<PublisherId, u64>,
 }
 
@@ -80,7 +88,7 @@ impl MessageCache {
 
     /// A cached item by id.
     pub fn get(&self, id: ItemId) -> Option<&NewsItem> {
-        self.items.get(&id).map(|(item, _)| item)
+        self.items.get(&id).map(|(item, _)| &**item)
     }
 
     /// Highest sequence number seen from `publisher` (0 when none).
@@ -96,7 +104,7 @@ impl MessageCache {
     /// The latest cached revision of `publisher`'s story `slug`, if any
     /// (the delta-encoding baseline lookup).
     pub fn latest_for_slug(&self, publisher: PublisherId, slug: &str) -> Option<&NewsItem> {
-        let id = self.latest_by_slug.get(&(publisher, slug.to_owned()))?;
+        let id = self.latest_by_slug.get(&publisher)?.get(slug)?;
         self.get(*id)
     }
 
@@ -113,10 +121,11 @@ impl MessageCache {
         let mut hints: Vec<amcast::BaselineHint> = self
             .latest_by_slug
             .iter()
-            .filter(|((p, _), _)| publisher.is_none_or(|want| *p == want))
-            .filter_map(|((p, slug), id)| {
+            .filter(|(p, _)| publisher.is_none_or(|want| **p == want))
+            .flat_map(|(p, slugs)| slugs.iter().map(move |(slug, id)| (*p, slug, id)))
+            .filter_map(|(p, slug, id)| {
                 self.get(*id).map(|item| amcast::BaselineHint {
-                    key: newsml::cdc::slug_key(*p, slug),
+                    key: newsml::cdc::slug_key(p, slug),
                     revision: item.revision,
                     body_len: item.body_len,
                 })
@@ -127,29 +136,37 @@ impl MessageCache {
         hints
     }
 
-    /// Offers an item to the cache, applying revision fusion.
-    pub fn insert(&mut self, item: NewsItem, now: SimTime) -> CacheOutcome {
+    /// Offers an item to the cache, applying revision fusion. Passing an
+    /// `Arc` shares it; a bare `NewsItem` is wrapped.
+    pub fn insert(&mut self, item: impl Into<Arc<NewsItem>>, now: SimTime) -> CacheOutcome {
+        let item = item.into();
         if self.items.contains_key(&item.id) {
             return CacheOutcome::Duplicate;
         }
         let hw = self.highwater.entry(item.id.publisher).or_insert(0);
         *hw = (*hw).max(item.id.seq);
 
-        let slug_key = (item.id.publisher, item.slug.clone());
+        let slugs = self.latest_by_slug.entry(item.id.publisher).or_default();
         let mut outcome = CacheOutcome::Stored;
-        if let Some(&prev_id) = self.latest_by_slug.get(&slug_key) {
-            if let Some((prev, _)) = self.items.get(&prev_id) {
-                if prev.revision >= item.revision {
-                    // We already hold a newer (or equal) telling of this
-                    // story; keep it and drop the stale revision.
-                    return CacheOutcome::Obsolete;
+        match slugs.get_mut(&item.slug) {
+            Some(latest) => {
+                let prev_id = *latest;
+                if let Some((prev, _)) = self.items.get(&prev_id) {
+                    if prev.revision >= item.revision {
+                        // We already hold a newer (or equal) telling of this
+                        // story; keep it and drop the stale revision.
+                        return CacheOutcome::Obsolete;
+                    }
                 }
+                // Fuse: the new revision replaces the old one.
+                *latest = item.id;
+                self.items.remove(&prev_id);
+                outcome = CacheOutcome::Fused;
             }
-            // Fuse: the new revision replaces the old one.
-            self.items.remove(&prev_id);
-            outcome = CacheOutcome::Fused;
+            None => {
+                slugs.insert(item.slug.clone(), item.id);
+            }
         }
-        self.latest_by_slug.insert(slug_key, item.id);
         self.items.insert(item.id, (item, now));
         self.enforce_capacity();
         outcome
@@ -170,9 +187,10 @@ impl MessageCache {
 
     fn remove(&mut self, id: ItemId) {
         if let Some((item, _)) = self.items.remove(&id) {
-            let key = (item.id.publisher, item.slug.clone());
-            if self.latest_by_slug.get(&key) == Some(&id) {
-                self.latest_by_slug.remove(&key);
+            if let Some(slugs) = self.latest_by_slug.get_mut(&item.id.publisher) {
+                if slugs.get(&item.slug) == Some(&id) {
+                    slugs.remove(&item.slug);
+                }
             }
         }
     }
@@ -207,25 +225,30 @@ impl MessageCache {
 
     /// Cached items from `publisher` with sequence numbers at or above
     /// `min_seq` (the repair / state-transfer reply, bounded by `limit`).
-    pub fn items_from(&self, publisher: PublisherId, min_seq: u64, limit: usize) -> Vec<NewsItem> {
+    pub fn items_from(
+        &self,
+        publisher: PublisherId,
+        min_seq: u64,
+        limit: usize,
+    ) -> Vec<Arc<NewsItem>> {
         self.items
             .range(ItemId::new(publisher, min_seq)..=ItemId::new(publisher, u64::MAX))
             .take(limit)
-            .map(|(_, (item, _))| item.clone())
+            .map(|(_, (item, _))| Arc::clone(item))
             .collect()
     }
 
     /// The most recent `limit` items across publishers (joiner bootstrap).
-    pub fn snapshot(&self, limit: usize) -> Vec<NewsItem> {
-        let mut all: Vec<(&SimTime, &NewsItem)> =
+    pub fn snapshot(&self, limit: usize) -> Vec<Arc<NewsItem>> {
+        let mut all: Vec<(&SimTime, &Arc<NewsItem>)> =
             self.items.values().map(|(item, at)| (at, item)).collect();
         all.sort_by_key(|(at, _)| std::cmp::Reverse(**at));
-        all.into_iter().take(limit).map(|(_, item)| item.clone()).collect()
+        all.into_iter().take(limit).map(|(_, item)| Arc::clone(item)).collect()
     }
 
     /// Iterates over cached items.
-    pub fn iter(&self) -> impl Iterator<Item = &NewsItem> {
-        self.items.values().map(|(item, _)| item)
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &NewsItem> {
+        self.items.values().map(|(item, _)| &**item)
     }
 }
 

@@ -253,7 +253,7 @@ struct PendingReconcile {
 /// One unacknowledged tree hand-off awaiting its `ForwardAck`.
 #[derive(Debug)]
 struct PendingHandoff {
-    env: Envelope,
+    env: Arc<Envelope>,
     zone: ZoneId,
     rep: u32,
     /// Representatives already attempted (including `rep`).
@@ -942,7 +942,7 @@ impl NewsWireNode {
         }
     }
 
-    fn handle_delivery(&mut self, now: SimTime, item: NewsItem, via_repair: bool) {
+    fn handle_delivery(&mut self, now: SimTime, item: Arc<NewsItem>, via_repair: bool) {
         // Every arrival is *seen* — duplicates, obsolete revisions and
         // predicate-filtered items included. The log tracks knowledge, not
         // acceptance: a seen seq is never a hole to reconcile.
@@ -1019,7 +1019,12 @@ impl NewsWireNode {
         }
     }
 
-    fn process_duty(&mut self, ctx: &mut Context<'_, NewsWireMsg>, env: Envelope, zone: ZoneId) {
+    fn process_duty(
+        &mut self,
+        ctx: &mut Context<'_, NewsWireMsg>,
+        env: Arc<Envelope>,
+        zone: ZoneId,
+    ) {
         let actions = route(&self.agent, &env.filter, &zone, self.cfg.redundancy, ctx.rng());
         let now = ctx.now();
         if actions.is_empty() && self.agent.level_of(&zone).is_none() {
@@ -1046,7 +1051,7 @@ impl NewsWireNode {
             match action {
                 Action::DeliverLocal => {
                     self.delta_makeup(&env.item, env.basis.as_ref());
-                    self.handle_delivery(now, env.item.clone(), false)
+                    self.handle_delivery(now, Arc::clone(&env.item), false)
                 }
                 Action::Deliver { member } => {
                     self.log.record(LogRecord {
@@ -1056,7 +1061,8 @@ impl NewsWireNode {
                         peer: Some(member),
                         event: ForwardEvent::Delivered,
                     });
-                    self.enqueue(ctx, NodeId(member), NewsWireMsg::Deliver { env: env.clone() });
+                    let env = Arc::clone(&env);
+                    self.enqueue(ctx, NodeId(member), NewsWireMsg::Deliver { env });
                 }
                 Action::Forward { rep, zone } => {
                     self.log.record(LogRecord {
@@ -1066,7 +1072,8 @@ impl NewsWireNode {
                         peer: Some(rep),
                         event: ForwardEvent::Forwarded,
                     });
-                    self.enqueue(ctx, NodeId(rep), NewsWireMsg::Forward { env: env.clone(), zone });
+                    let env = Arc::clone(&env);
+                    self.enqueue(ctx, NodeId(rep), NewsWireMsg::Forward { env, zone });
                 }
             }
         }
@@ -1122,6 +1129,9 @@ impl NewsWireNode {
             // (which ship bare items, not envelopes) stay zone-confined.
             item.meta.push((DISSEMINATION_SCOPE.to_owned(), scope.to_string()));
         }
+        // Sealed: from here on every hop, cache, pending hand-off and
+        // reply shares this one allocation.
+        let item = Arc::new(item);
         let signature = publisher.credential.sign(&item);
         let key = publisher.credential.key_id();
         let certificate = publisher.credential.certificate.clone();
@@ -1142,7 +1152,7 @@ impl NewsWireNode {
         } else {
             None
         };
-        let env = Envelope {
+        let env = Arc::new(Envelope {
             msg_id: msg_id_of(item.id),
             filter,
             item,
@@ -1152,7 +1162,7 @@ impl NewsWireNode {
             signature,
             attest,
             basis,
-        };
+        });
         obs::metric_add!(self.agent.id(), ctr::NW_PUBLISHED, 1);
         obs::trace_event!(self.agent.id(), Layer::News, kind::NW_PUBLISH, env.msg_id);
         self.coverage.admit(env.msg_id, scope.depth());
@@ -1163,7 +1173,7 @@ impl NewsWireNode {
         self.log_seen(env.item.id);
         self.item_sigs.insert(env.item.id, (key, signature));
         self.absorb_attest(&attest);
-        self.cache.insert(env.item.clone(), now);
+        self.cache.insert(Arc::clone(&env.item), now);
         self.process_duty(ctx, env, scope);
     }
 
@@ -1214,7 +1224,7 @@ impl NewsWireNode {
     fn admit_bare_item(
         &mut self,
         now: SimTime,
-        item: NewsItem,
+        item: Arc<NewsItem>,
         key: KeyId,
         sig: Signature,
         from: NodeId,
@@ -1289,7 +1299,7 @@ impl NewsWireNode {
     /// with no recorded signature (possible only on nodes that themselves
     /// admitted unverified content) ships a null signature, which defended
     /// receivers refuse.
-    fn sign_items(&self, items: Vec<NewsItem>, baselines: &[BaselineHint]) -> Vec<SignedItem> {
+    fn sign_items(&self, items: Vec<Arc<NewsItem>>, baselines: &[BaselineHint]) -> Vec<SignedItem> {
         let held: HashMap<u64, &BaselineHint> = baselines.iter().map(|b| (b.key, b)).collect();
         items
             .into_iter()
@@ -1437,7 +1447,7 @@ impl NewsWireNode {
         ctx: &mut Context<'_, NewsWireMsg>,
         timeout: SimDuration,
         rep: u32,
-        env: Envelope,
+        env: Arc<Envelope>,
         zone: ZoneId,
         tried: Vec<u32>,
         attempt: u32,
@@ -1769,7 +1779,7 @@ impl NewsWireNode {
     ) {
         let summary =
             self.article_logs.get(&publisher).map(|log| log.summary()).unwrap_or_default();
-        let mut items: Vec<NewsItem> = Vec::new();
+        let mut items: Vec<Arc<NewsItem>> = Vec::new();
         // A requester on a newer epoch has restarted history; our items
         // would be misfiled under its sequencing, so ship nothing (the
         // summary still tells it where we stand).
@@ -2029,41 +2039,26 @@ impl NewsWireNode {
         }
     }
 
-    /// The durable protocol state for the `state` disk record: article-log
-    /// coverage (with the present sequence ranges), cached items, and the
-    /// application delivery log. Cache and deliveries persist *together* —
-    /// the cache is the dedup barrier and the delivery log is the
-    /// completeness substrate, and restoring one without the other would
-    /// either re-deliver everything or forget what was delivered.
-    fn durable_state(&self) -> persist::NodeState {
-        let logs = self
-            .article_logs
-            .iter()
-            .map(|(p, log)| persist::LogState {
-                publisher: *p,
-                coverage: log.encode_coverage(),
-                present: persist::compress_ranges(
-                    log.range(log.floor(), log.next_seq().saturating_sub(1)).map(|(s, _)| s),
-                ),
-            })
-            .collect();
-        persist::NodeState {
-            logs,
+    /// Encodes the `state` disk record: article-log coverage (with the
+    /// present sequence ranges), cached items, and the application delivery
+    /// log, straight from the live structures. Cache and deliveries persist
+    /// *together* — the cache is the dedup barrier and the delivery log is
+    /// the completeness substrate, and restoring one without the other
+    /// would either re-deliver everything or forget what was delivered.
+    fn encode_durable_state(&self) -> Vec<u8> {
+        persist::encode_state(
+            self.article_logs.iter().map(|(p, log)| (*p, log)),
             // Each item persists with its detached signature, so a durable
             // restore can re-verify: a disk snapshot is just another
             // admission path (see `restore_cached_items`).
-            items: self
-                .cache
-                .iter()
-                .map(|item| {
-                    let (key, sig) =
-                        self.item_sigs.get(&item.id).copied().unwrap_or((KeyId(0), Signature(0)));
-                    (item.clone(), key, sig)
-                })
-                .collect(),
-            deliveries: self.deliveries.clone(),
-            rotations: self.rotations.values().map(|r| r.encode()).collect(),
-        }
+            self.cache.iter().map(|item| {
+                let (key, sig) =
+                    self.item_sigs.get(&item.id).copied().unwrap_or((KeyId(0), Signature(0)));
+                (item, key, sig)
+            }),
+            &self.deliveries,
+            self.rotations.values().map(|r| r.encode()),
+        )
     }
 
     /// Cheap change detector over the durable state: structure and counts,
@@ -2098,7 +2093,7 @@ impl NewsWireNode {
     fn persist_state(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
         let fp = self.state_fingerprint();
         if fp != self.persisted_fingerprint {
-            let blob = persist::encode_state(&self.durable_state());
+            let blob = self.encode_durable_state();
             ctx.disk().write(DISK_KEY_STATE, blob);
             self.persisted_fingerprint = fp;
         }
@@ -2314,10 +2309,10 @@ impl Node for NewsWireNode {
                 self.learn_from_envelope(&env);
                 let now = ctx.now();
                 self.delta_makeup(&env.item, env.basis.as_ref());
-                self.handle_delivery(now, env.item, false);
+                self.handle_delivery(now, Arc::clone(&env.item), false);
             }
             NewsWireMsg::RepairRequest { highwater, want_snapshot, baselines } => {
-                let mut items: Vec<NewsItem> = Vec::new();
+                let mut items: Vec<Arc<NewsItem>> = Vec::new();
                 // Everything at or past the requester's (margin-backed)
                 // marks…
                 for (publisher, hw) in &highwater {
@@ -2430,7 +2425,7 @@ impl Node for NewsWireNode {
                             ctx,
                             timeout,
                             dst.0,
-                            env.clone(),
+                            Arc::clone(env),
                             zone.clone(),
                             vec![dst.0],
                             0,
@@ -3066,12 +3061,12 @@ mod tests {
         // handle_delivery with via_repair=true models the reconcile/repair
         // paths, which ship bare items: the scope must still confine them.
         let now = SimTime::from_secs(1);
-        n.handle_delivery(now, out_of_zone.clone(), true);
+        n.handle_delivery(now, Arc::new(out_of_zone.clone()), true);
         assert!(!n.has_item(out_of_zone.id), "repair must not leak scoped items");
         assert_eq!(n.stats.predicate_filtered, 1);
         // …but the seq was still *seen*, so reconcile won't re-request it.
         assert!(n.article_log(PublisherId(0)).is_some_and(|l| l.contains(1)));
-        n.handle_delivery(now, in_zone.clone(), true);
+        n.handle_delivery(now, Arc::new(in_zone.clone()), true);
         assert!(n.has_item(in_zone.id), "in-zone repair still delivers");
     }
 
@@ -3094,7 +3089,7 @@ mod tests {
             revision: 2,
             body_len: 6000,
         };
-        let signed = n.sign_items(vec![rev3.clone()], &[hint]);
+        let signed = n.sign_items(vec![Arc::new(rev3.clone())], &[hint]);
         assert_eq!(signed[0].basis, Some(DeltaBasis { revision: 2, body_len: 6000 }));
         assert!(signed[0].compressed_wire_size() < signed[0].wire_size() / 2);
 
@@ -3102,11 +3097,11 @@ mod tests {
         // re-offer collapses to chunk references the receiver satisfies
         // from its own cache.
         let even = BaselineHint { revision: 3, ..hint };
-        let dup = n.sign_items(vec![rev3.clone()], &[even]);
+        let dup = n.sign_items(vec![Arc::new(rev3.clone())], &[even]);
         assert_eq!(dup[0].basis, Some(DeltaBasis { revision: 3, body_len: 6000 }));
         assert!(dup[0].compressed_wire_size() < signed[0].compressed_wire_size());
         // …and a requester that declared nothing gets the full body.
-        assert_eq!(n.sign_items(vec![rev3.clone()], &[])[0].basis, None);
+        assert_eq!(n.sign_items(vec![Arc::new(rev3.clone())], &[])[0].basis, None);
 
         // The node's own requests declare its cache as baselines, sorted;
         // with deltas off they stay empty so the wire is byte-identical.
@@ -3115,7 +3110,11 @@ mod tests {
         assert_eq!(hints[0].revision, 3);
         n.cfg.deltas = false;
         assert!(n.request_baselines(None).is_empty());
-        assert_eq!(n.sign_items(vec![rev3], &[hint])[0].basis, None, "deltas off: never annotate");
+        assert_eq!(
+            n.sign_items(vec![Arc::new(rev3)], &[hint])[0].basis,
+            None,
+            "deltas off: never annotate"
+        );
     }
 
     #[test]
@@ -3124,21 +3123,21 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         // Matching item: delivered + cached.
-        n.handle_delivery(now, tech_item(0), false);
+        n.handle_delivery(now, Arc::new(tech_item(0)), false);
         assert_eq!(n.stats.delivered, 1);
         assert_eq!(n.deliveries.len(), 1);
         // Same item again: duplicate.
-        n.handle_delivery(now, tech_item(0), false);
+        n.handle_delivery(now, Arc::new(tech_item(0)), false);
         assert_eq!(n.stats.duplicates, 1);
         // Structurally uninteresting item: Bloom false positive.
         let sports =
             NewsItem::builder(PublisherId(0), 5).headline("s").category(Category::Sports).build();
-        n.handle_delivery(now, sports, false);
+        n.handle_delivery(now, Arc::new(sports), false);
         assert_eq!(n.stats.bloom_fp_deliveries, 1);
         assert_eq!(n.stats.delivered, 1, "not delivered to the app");
         // Matching but predicate-rejected: filtered, still cached.
         n.subscription.set_predicate("urgency = 1").unwrap();
-        n.handle_delivery(now, tech_item(7), false);
+        n.handle_delivery(now, Arc::new(tech_item(7)), false);
         assert_eq!(n.stats.predicate_filtered, 1);
         assert!(n.cache.contains(newsml::ItemId::new(PublisherId(0), 7)));
     }
@@ -3147,7 +3146,7 @@ mod tests {
     fn repair_delivery_is_flagged() {
         let mut n = node_with(NewsWireConfig::tech_news());
         n.set_subscription(tech_sub());
-        n.handle_delivery(SimTime::from_secs(2), tech_item(3), true);
+        n.handle_delivery(SimTime::from_secs(2), Arc::new(tech_item(3)), true);
         assert!(n.deliveries[0].via_repair);
     }
 
@@ -3164,14 +3163,14 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 4] {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, Arc::new(tech_item(seq)), false);
         }
         // A duplicate is still a single log entry…
-        n.handle_delivery(now, tech_item(1), false);
+        n.handle_delivery(now, Arc::new(tech_item(1)), false);
         // …and an uninteresting (Bloom FP) arrival is seen too.
         let sports =
             NewsItem::builder(PublisherId(0), 5).headline("s").category(Category::Sports).build();
-        n.handle_delivery(now, sports, false);
+        n.handle_delivery(now, Arc::new(sports), false);
         let log = n.article_log(PublisherId(0)).expect("log exists");
         assert_eq!(log.len(), 4, "seqs 0, 1, 4, 5 — the duplicate logs once");
         assert_eq!(log.gaps(), vec![(2, 3)], "the unseen seqs are the holes");
@@ -3185,7 +3184,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 2, 6] {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, Arc::new(tech_item(seq)), false);
         }
         n.publish_ae_digests();
         let attr = format!("{AE_ATTR_PREFIX}0");
@@ -3196,7 +3195,7 @@ mod tests {
         // With anti-entropy off, no digest is published.
         let mut off =
             node_with(NewsWireConfig { anti_entropy: false, ..NewsWireConfig::tech_news() });
-        off.handle_delivery(now, tech_item(0), false);
+        off.handle_delivery(now, Arc::new(tech_item(0)), false);
         off.publish_ae_digests();
         assert!(off.agent.local_attr(&attr).is_none());
     }
@@ -3276,20 +3275,22 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(1);
         for seq in [0, 1, 4] {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, Arc::new(tech_item(seq)), false);
         }
         let fp = n.state_fingerprint();
-        let state = n.durable_state();
-        assert_eq!(state.items.len(), 3);
+        let state = crate::persist::decode_state(&n.encode_durable_state()).unwrap();
+        let cached: Vec<NewsItem> = n.cache.iter().cloned().collect();
+        let decoded: Vec<NewsItem> = state.items.iter().map(|(item, ..)| item.clone()).collect();
+        assert_eq!(decoded, cached);
+        assert_eq!(state.deliveries, n.deliveries);
         assert_eq!(state.deliveries.len(), 3);
         assert_eq!(state.logs.len(), 1);
         assert_eq!(state.logs[0].present, vec![(0, 1), (4, 4)]);
-        let decoded = crate::persist::decode_state(&crate::persist::encode_state(&state)).unwrap();
-        assert_eq!(decoded, state);
+        assert_eq!(state.logs[0].coverage, n.article_logs[&PublisherId(0)].encode_coverage());
         // The fingerprint is stable while nothing changes and moves when
         // the durable state does.
         assert_eq!(n.state_fingerprint(), fp);
-        n.handle_delivery(now, tech_item(5), false);
+        n.handle_delivery(now, Arc::new(tech_item(5)), false);
         assert_ne!(n.state_fingerprint(), fp);
     }
 
@@ -3344,7 +3345,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(5);
         for seq in 0..3u64 {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, Arc::new(tech_item(seq)), false);
         }
         // Two leaf neighbours advertise epoch-0 digests: the consensus.
         let digest = RangeSummary::default().encode();
@@ -3423,7 +3424,7 @@ mod tests {
 
         let real = tech_item(0);
         let sig = cred.sign(&real);
-        n.admit_bare_item(now, real.clone(), cred.key_id(), sig, NodeId(5), 2);
+        n.admit_bare_item(now, Arc::new(real.clone()), cred.key_id(), sig, NodeId(5), 2);
         assert!(n.has_item(real.id), "a genuinely signed bare item admits");
         assert_eq!(n.stats.forged_rejects, 0);
 
@@ -3431,7 +3432,7 @@ mod tests {
         // leaves no trace in the article log (a forged seq must not poison
         // reconciliation into thinking it was seen).
         let forged = tech_item(1);
-        n.admit_bare_item(now, forged.clone(), KeyId(99), Signature(77), NodeId(5), 2);
+        n.admit_bare_item(now, Arc::new(forged.clone()), KeyId(99), Signature(77), NodeId(5), 2);
         assert!(!n.has_item(forged.id));
         assert!(!n.cache.contains(forged.id));
         assert!(!n.article_logs[&PublisherId(0)].contains(1), "forged seq not logged as seen");
@@ -3444,7 +3445,7 @@ mod tests {
         let sig2 = cred.sign(&original);
         let mut tampered = original.clone();
         tampered.headline = "FAKE: markets collapse".into();
-        n.admit_bare_item(now, tampered.clone(), cred.key_id(), sig2, NodeId(6), 3);
+        n.admit_bare_item(now, Arc::new(tampered.clone()), cred.key_id(), sig2, NodeId(6), 3);
         assert!(!n.has_item(tampered.id));
         assert_eq!(n.stats.forged_rejects, 2);
 
@@ -3455,7 +3456,7 @@ mod tests {
             .category(Category::Technology)
             .build();
         let rev0_sig = cred.sign(&rev0);
-        n.admit_bare_item(now, rev0.clone(), cred.key_id(), rev0_sig, NodeId(5), 2);
+        n.admit_bare_item(now, Arc::new(rev0.clone()), cred.key_id(), rev0_sig, NodeId(5), 2);
         assert!(n.cache.contains(rev0.id));
         let fake_rev = NewsItem::builder(PublisherId(0), 4)
             .headline("story, rewritten")
@@ -3463,7 +3464,7 @@ mod tests {
             .revision(1, Some(rev0.id))
             .category(Category::Technology)
             .build();
-        n.admit_bare_item(now, fake_rev.clone(), KeyId(1), Signature(2), NodeId(5), 2);
+        n.admit_bare_item(now, Arc::new(fake_rev.clone()), KeyId(1), Signature(2), NodeId(5), 2);
         assert!(n.cache.contains(rev0.id), "the real revision 0 survives");
         assert!(!n.cache.contains(fake_rev.id), "the forged revision is refused");
 
@@ -3473,7 +3474,7 @@ mod tests {
         cfg.defenses = false;
         let (mut open, _) = node_with_authority(cfg);
         open.set_subscription(tech_sub());
-        open.admit_bare_item(now, forged.clone(), KeyId(99), Signature(77), NodeId(5), 2);
+        open.admit_bare_item(now, Arc::new(forged.clone()), KeyId(99), Signature(77), NodeId(5), 2);
         assert!(open.has_item(forged.id), "defenses off admits the forgery");
         assert_eq!(open.stats.forged_rejects, 0);
     }
@@ -3555,7 +3556,7 @@ mod tests {
         // envelopes pass the fence.
         let old = tech_item(0);
         let old_sig = cred.sign(&old);
-        n.admit_bare_item(now, old.clone(), cred.key_id(), old_sig, NodeId(5), 2);
+        n.admit_bare_item(now, Arc::new(old.clone()), cred.key_id(), old_sig, NodeId(5), 2);
         assert!(n.cache.contains(old.id));
         let probe = tech_item(9);
         let env = Envelope {
@@ -3567,7 +3568,7 @@ mod tests {
             signature: cred.sign(&probe),
             attest: cred.attest_epoch(0),
             basis: None,
-            item: probe,
+            item: Arc::new(probe),
         };
         assert!(!n.envelope_fenced(&env), "pre-revocation envelopes pass");
 
@@ -3585,9 +3586,9 @@ mod tests {
         // through repair or reconcile replies.
         let replay = tech_item(1);
         let replay_sig = cred.sign(&replay);
-        n.admit_bare_item(now, replay.clone(), cred.key_id(), replay_sig, NodeId(5), 2);
+        n.admit_bare_item(now, Arc::new(replay.clone()), cred.key_id(), replay_sig, NodeId(5), 2);
         assert!(!n.cache.contains(replay.id));
-        n.admit_bare_item(now, replay.clone(), cred.key_id(), replay_sig, NodeId(6), 3);
+        n.admit_bare_item(now, Arc::new(replay.clone()), cred.key_id(), replay_sig, NodeId(6), 3);
         assert!(!n.cache.contains(replay.id));
         // Path 4: the revoked-key blob is dropped on disk restore.
         let restored =
@@ -3603,7 +3604,14 @@ mod tests {
         // The successor credential is live on every path.
         let fresh = tech_item(2);
         let fresh_sig = successor.sign(&fresh);
-        n.admit_bare_item(now, fresh.clone(), successor.key_id(), fresh_sig, NodeId(5), 2);
+        n.admit_bare_item(
+            now,
+            Arc::new(fresh.clone()),
+            successor.key_id(),
+            fresh_sig,
+            NodeId(5),
+            2,
+        );
         assert!(n.cache.contains(fresh.id));
         n.absorb_attest(&successor.attest_epoch(1));
         assert_eq!(n.authority_epoch(PublisherId(0)), Some(1));
@@ -3836,7 +3844,7 @@ mod tests {
         n.set_subscription(tech_sub());
         let now = SimTime::from_secs(5);
         for seq in 0..3u64 {
-            n.handle_delivery(now, tech_item(seq), false);
+            n.handle_delivery(now, Arc::new(tech_item(seq)), false);
         }
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
         let hit = simnet::Node::apply_corruption(
@@ -3871,7 +3879,7 @@ mod tests {
             &mut rng,
         );
         assert_eq!(injected, 3);
-        let forged: Vec<NewsItem> = forger.cache.iter().cloned().collect();
+        let forged: Vec<Arc<NewsItem>> = forger.cache.iter().cloned().map(Arc::new).collect();
         assert_eq!(forged.len(), 3, "the forger's cache holds the fabrications");
 
         let (mut honest, _) = node_with_authority(NewsWireConfig::tech_news());

@@ -10,6 +10,7 @@
 //! detectable: any decode failure makes the node fall back to an amnesiac
 //! rejoin, which anti-entropy then repairs.
 
+use amcast::SeqLog;
 use astrolabe::{KeyId, Signature};
 use newsml::{Category, ItemId, NewsItem, PublisherId, Subject, Urgency};
 use simnet::SimTime;
@@ -18,9 +19,14 @@ use crate::node::DeliveryRecord;
 use crate::Subscription;
 
 /// Appends length-prefixed tokens to a growing string buffer.
+///
+/// Nothing here allocates per token: integers are formatted on the stack,
+/// and a composite token (a comma list, a `publisher/seq` pair) is built
+/// in one reused scratch buffer, since its length prefix must precede it.
 #[derive(Debug, Default)]
 pub(crate) struct TokenWriter {
     buf: String,
+    scratch: String,
 }
 
 impl TokenWriter {
@@ -29,17 +35,64 @@ impl TokenWriter {
     }
 
     pub(crate) fn push(&mut self, tok: &str) {
-        use std::fmt::Write as _;
-        let _ = write!(self.buf, "{}:{}", tok.len(), tok);
+        write_u64(&mut self.buf, tok.len() as u64);
+        self.buf.push(':');
+        self.buf.push_str(tok);
     }
 
     pub(crate) fn push_u64(&mut self, v: u64) {
-        self.push(&v.to_string());
+        let mut digits = [0u8; 20];
+        self.push(format_u64(v, &mut digits));
+    }
+
+    /// Pushes one token that `build` writes into the scratch buffer.
+    pub(crate) fn push_with(&mut self, build: impl FnOnce(&mut String)) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        build(&mut scratch);
+        self.push(&scratch);
+        self.scratch = scratch;
     }
 
     pub(crate) fn finish(self) -> String {
         self.buf
     }
+}
+
+/// Formats `v` in decimal into the tail of `digits`, returning the text.
+fn format_u64(mut v: u64, digits: &mut [u8; 20]) -> &str {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&digits[at..]).expect("ASCII digits")
+}
+
+/// Appends `v` in decimal to `out`.
+fn write_u64(out: &mut String, v: u64) {
+    let mut digits = [0u8; 20];
+    out.push_str(format_u64(v, &mut digits));
+}
+
+/// Appends category bits, comma-separated (`Category::bit` values).
+fn write_category_bits<'a>(out: &mut String, cats: impl IntoIterator<Item = &'a Category>) {
+    for (i, c) in cats.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_u64(out, u64::from(c.bit()));
+    }
+}
+
+/// Appends a subject's canonical key (see `Subject::key`).
+fn write_subject_key(out: &mut String, s: &Subject) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "{s}");
 }
 
 /// Sequential reader over a token stream; every accessor returns `None` on
@@ -95,12 +148,11 @@ pub(crate) fn encode_subscription(sub: &Subscription) -> Vec<u8> {
     w.push_u64(sub.publishers.len() as u64);
     for (p, cats) in &sub.publishers {
         w.push_u64(u64::from(p.0));
-        let bits: Vec<String> = cats.iter().map(|c| c.bit().to_string()).collect();
-        w.push(&bits.join(","));
+        w.push_with(|out| write_category_bits(out, cats));
     }
     w.push_u64(sub.subjects.len() as u64);
     for s in &sub.subjects {
-        w.push(&s.key());
+        w.push_with(|out| write_subject_key(out, s));
     }
     match sub.predicate_sql() {
         Some(sql) => {
@@ -143,16 +195,19 @@ fn encode_item(w: &mut TokenWriter, item: &NewsItem) {
     w.push_u64(item.id.seq);
     w.push_u64(u64::from(item.revision));
     match item.supersedes {
-        Some(id) => w.push(&format!("{}/{}", id.publisher.0, id.seq)),
+        Some(id) => w.push_with(|out| {
+            write_u64(out, u64::from(id.publisher.0));
+            out.push('/');
+            write_u64(out, id.seq);
+        }),
         None => w.push("-"),
     }
     w.push(&item.headline);
     w.push(&item.slug);
-    let bits: Vec<String> = item.categories.iter().map(|c| c.bit().to_string()).collect();
-    w.push(&bits.join(","));
+    w.push_with(|out| write_category_bits(out, &item.categories));
     w.push_u64(item.subjects.len() as u64);
     for s in &item.subjects {
-        w.push(&s.key());
+        w.push_with(|out| write_subject_key(out, s));
     }
     w.push_u64(u64::from(item.urgency.level()));
     w.push_u64(item.issued_us);
@@ -217,10 +272,10 @@ fn decode_item(r: &mut TokenReader) -> Option<NewsItem> {
 
 // ---------------------------------------------------------------- node state
 
-/// One persisted article log: publisher, coverage summary (see
-/// `SeqLog::encode_coverage`), and the inclusive ranges of sequence numbers
-/// the log had actually seen. Lost entries surface as honest gaps after
-/// restore, which anti-entropy then repairs.
+/// One article log as decoded from a `state` record: publisher, coverage
+/// summary (see `SeqLog::encode_coverage`), and the inclusive ranges of
+/// sequence numbers the log had actually seen. Lost entries surface as
+/// honest gaps after restore, which anti-entropy then repairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LogState {
     pub(crate) publisher: PublisherId,
@@ -228,8 +283,8 @@ pub(crate) struct LogState {
     pub(crate) present: Vec<(u64, u64)>,
 }
 
-/// The durable protocol state a node snapshots to its `state` disk record.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The durable protocol state decoded from a node's `state` disk record.
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct NodeState {
     pub(crate) logs: Vec<LogState>,
     /// Cached items with their publisher signatures, so a cold restart can
@@ -246,25 +301,34 @@ pub(crate) struct NodeState {
     pub(crate) rotations: Vec<String>,
 }
 
-/// Encodes the `state` disk record.
-pub(crate) fn encode_state(state: &NodeState) -> Vec<u8> {
+/// Encodes the `state` disk record straight from the node's live
+/// structures (no intermediate copy of the cache or the delivery log):
+/// every article log's coverage and present sequence ranges, every cached
+/// item with its detached signature, the delivery log, and the encoded
+/// rotation records. Decodes as a [`NodeState`].
+pub(crate) fn encode_state<'a>(
+    logs: impl ExactSizeIterator<Item = (PublisherId, &'a SeqLog<()>)>,
+    items: impl ExactSizeIterator<Item = (&'a NewsItem, KeyId, Signature)>,
+    deliveries: &[DeliveryRecord],
+    rotations: impl ExactSizeIterator<Item = String>,
+) -> Vec<u8> {
     let mut w = TokenWriter::new();
     w.push("nwstate2");
-    w.push_u64(state.logs.len() as u64);
-    for log in &state.logs {
-        w.push_u64(u64::from(log.publisher.0));
-        w.push(&log.coverage);
-        let ranges: Vec<String> = log.present.iter().map(|(lo, hi)| format!("{lo}-{hi}")).collect();
-        w.push(&ranges.join(","));
+    w.push_u64(logs.len() as u64);
+    for (publisher, log) in logs {
+        w.push_u64(u64::from(publisher.0));
+        w.push_with(|out| log.write_coverage(out));
+        let seen = log.range(log.floor(), log.next_seq().saturating_sub(1)).map(|(s, _)| s);
+        w.push_with(|out| write_ranges(out, seen));
     }
-    w.push_u64(state.items.len() as u64);
-    for (item, key, sig) in &state.items {
+    w.push_u64(items.len() as u64);
+    for (item, key, sig) in items {
         encode_item(&mut w, item);
         w.push_u64(key.0);
         w.push_u64(sig.0);
     }
-    w.push_u64(state.deliveries.len() as u64);
-    for d in &state.deliveries {
+    w.push_u64(deliveries.len() as u64);
+    for d in deliveries {
         w.push_u64(u64::from(d.item.publisher.0));
         w.push_u64(d.item.seq);
         w.push_u64(d.msg_id);
@@ -272,11 +336,11 @@ pub(crate) fn encode_state(state: &NodeState) -> Vec<u8> {
         w.push_u64(d.delivered.as_micros());
         w.push(if d.via_repair { "1" } else { "0" });
     }
-    if !state.rotations.is_empty() {
+    if rotations.len() > 0 {
         w.push("rot");
-        w.push_u64(state.rotations.len() as u64);
-        for r in &state.rotations {
-            w.push(r);
+        w.push_u64(rotations.len() as u64);
+        for r in rotations {
+            w.push(&r);
         }
     }
     w.finish().into_bytes()
@@ -345,16 +409,23 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Option<NodeState> {
     Some(state)
 }
 
-/// Compresses a sorted iterator of sequence numbers into inclusive ranges.
-pub(crate) fn compress_ranges(seqs: impl Iterator<Item = u64>) -> Vec<(u64, u64)> {
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    for seq in seqs {
-        match out.last_mut() {
-            Some((_, hi)) if *hi + 1 == seq => *hi = seq,
-            _ => out.push((seq, seq)),
+/// Appends a sorted run of sequence numbers as comma-separated inclusive
+/// `lo-hi` ranges, adjacent numbers merged (`0-2,5-5,7-8`).
+fn write_ranges(out: &mut String, seqs: impl Iterator<Item = u64>) {
+    let mut seqs = seqs.peekable();
+    let mut first = true;
+    while let Some(lo) = seqs.next() {
+        let mut hi = lo;
+        while seqs.next_if_eq(&(hi + 1)).is_some() {
+            hi += 1;
         }
+        if !std::mem::take(&mut first) {
+            out.push(',');
+        }
+        write_u64(out, lo);
+        out.push('-');
+        write_u64(out, hi);
     }
-    out
 }
 
 #[cfg(test)]
@@ -369,6 +440,7 @@ mod tests {
             .category(Category::Technology)
             .category(Category::Business)
             .subject("04.003.005".parse().unwrap())
+            .subject("11".parse().unwrap())
             .urgency(Urgency::new(2))
             .body_len(1234)
             .meta("source", "reuters")
@@ -378,6 +450,75 @@ mod tests {
         item.supersedes = Some(ItemId::new(PublisherId(3), 11));
         item.issued_us = 95_000_000;
         item
+    }
+
+    /// A node's durable state in miniature: a bare item and the rich one,
+    /// two article logs (one gapped, one on a later epoch with a raised
+    /// floor), two deliveries and one rotation record.
+    struct Fixture {
+        logs: Vec<(PublisherId, SeqLog<()>)>,
+        items: Vec<(NewsItem, KeyId, Signature)>,
+        deliveries: Vec<DeliveryRecord>,
+        rotations: Vec<String>,
+    }
+
+    fn fixture() -> Fixture {
+        let rich = rich_item();
+        let plain = NewsItem::builder(PublisherId(1), 4).headline("héllo").build();
+        let mut log1 = SeqLog::new(64);
+        for s in [0, 1, 3, 4] {
+            log1.insert(s, ());
+        }
+        let mut log3 = SeqLog::new(64);
+        log3.bump_epoch();
+        for s in (2..=9).chain(12..=19) {
+            log3.insert(s, ());
+        }
+        log3.prune_below(3);
+        Fixture {
+            logs: vec![(PublisherId(1), log1), (PublisherId(3), log3)],
+            deliveries: vec![
+                DeliveryRecord {
+                    item: plain.id,
+                    msg_id: 12_345_678_901,
+                    published: SimTime::from_micros(0),
+                    delivered: SimTime::from_micros(420),
+                    via_repair: false,
+                },
+                DeliveryRecord {
+                    item: rich.id,
+                    msg_id: 777,
+                    published: SimTime::from_micros(95_000_000),
+                    delivered: SimTime::from_micros(95_420_000),
+                    via_repair: true,
+                },
+            ],
+            items: vec![(plain, KeyId(5), Signature(u64::MAX)), (rich, KeyId(11), Signature(22))],
+            rotations: vec!["rot1|publisher:3|fake|record".to_owned()],
+        }
+    }
+
+    fn encode_fixture(f: &Fixture) -> Vec<u8> {
+        encode_state(
+            f.logs.iter().map(|(p, log)| (*p, log)),
+            f.items.iter().map(|(item, key, sig)| (item, *key, *sig)),
+            &f.deliveries,
+            f.rotations.iter().cloned(),
+        )
+    }
+
+    /// The `state` record format is what a durable restart reads back, so
+    /// its bytes are pinned: any drift here silently breaks recovery from
+    /// blobs written by earlier builds.
+    #[test]
+    fn state_encoding_is_pinned_byte_for_byte() {
+        let golden = "8:nwstate21:21:17:0:0:5:47:0-1,3-41:39:1:3:20:169:3-9,12-19\
+            1:21:11:41:01:-6:héllo6:héllo0:1:01:51:01:01:01:520:18446744073709551615\
+            1:32:171:24:3/1120:markets: chips rally11:chips-rally3:2,11:210:04.003.0052:11\
+            1:28:950000004:12341:26:source7:reuters4:desk14:markets & tech2:112:22\
+            1:21:11:411:123456789011:03:4201:01:32:173:7778:950000008:954200001:1\
+            3:rot1:128:rot1|publisher:3|fake|record";
+        assert_eq!(String::from_utf8(encode_fixture(&fixture())).unwrap(), golden);
     }
 
     #[test]
@@ -434,33 +575,27 @@ mod tests {
 
     #[test]
     fn state_roundtrip_preserves_items_logs_and_deliveries() {
-        let item = rich_item();
-        let state = NodeState {
-            logs: vec![LogState {
-                publisher: PublisherId(3),
-                coverage: "1:2:20:15".to_owned(),
-                present: vec![(2, 9), (12, 19)],
-            }],
-            items: vec![(item.clone(), KeyId(11), Signature(22))],
-            deliveries: vec![DeliveryRecord {
-                item: item.id,
-                msg_id: 777,
-                published: SimTime::from_micros(95_000_000),
-                delivered: SimTime::from_micros(95_420_000),
-                via_repair: true,
-            }],
-            rotations: vec!["rot1|publisher:3|fake|record".to_owned()],
-        };
-        let decoded = decode_state(&encode_state(&state)).unwrap();
-        assert_eq!(decoded, state);
-        assert_eq!(decoded.items[0].0, item, "full NewsItem fidelity incl. meta/supersedes");
-        assert_eq!((decoded.items[0].1, decoded.items[0].2), (KeyId(11), Signature(22)));
+        let f = fixture();
+        let decoded = decode_state(&encode_fixture(&f)).unwrap();
+        let expected_logs: Vec<LogState> = f
+            .logs
+            .iter()
+            .map(|(p, log)| LogState {
+                publisher: *p,
+                coverage: log.encode_coverage(),
+                present: if p.0 == 1 { vec![(0, 1), (3, 4)] } else { vec![(3, 9), (12, 19)] },
+            })
+            .collect();
+        assert_eq!(decoded.logs, expected_logs);
+        assert_eq!(decoded.items, f.items, "full NewsItem fidelity incl. meta/supersedes");
+        assert_eq!(decoded.deliveries, f.deliveries);
+        assert_eq!(decoded.rotations, f.rotations);
     }
 
     #[test]
     fn corrupt_state_blob_decodes_to_none() {
-        let state = NodeState::default();
-        let mut bytes = encode_state(&state);
+        let mut bytes =
+            encode_state(std::iter::empty(), std::iter::empty(), &[], std::iter::empty());
         bytes.truncate(bytes.len() - 1);
         assert!(decode_state(&bytes).is_none());
         assert!(decode_state(b"8:garbage!").is_none());
@@ -469,9 +604,13 @@ mod tests {
     }
 
     #[test]
-    fn compress_ranges_merges_adjacent_runs() {
-        let ranges = compress_ranges([0, 1, 2, 5, 7, 8].into_iter());
-        assert_eq!(ranges, vec![(0, 2), (5, 5), (7, 8)]);
-        assert!(compress_ranges(std::iter::empty()).is_empty());
+    fn ranges_merge_adjacent_runs() {
+        let ranges = |seqs: &[u64]| {
+            let mut out = String::new();
+            write_ranges(&mut out, seqs.iter().copied());
+            out
+        };
+        assert_eq!(ranges(&[0, 1, 2, 5, 7, 8]), "0-2,5-5,7-8");
+        assert_eq!(ranges(&[]), "");
     }
 }

@@ -50,10 +50,16 @@ fn body_cost(item: &NewsItem, basis: Option<&DeltaBasis>) -> usize {
 }
 
 /// A signed, routable news item.
+///
+/// Envelopes are immutable once the publisher seals them: `Forward` and
+/// `Deliver` carry them behind an `Arc`, so every hop, queue and pending
+/// hand-off shares the publisher's one allocation (filter, certificate and
+/// attestation included).
 #[derive(Debug, Clone)]
 pub struct Envelope {
-    /// The item itself (metadata + body size).
-    pub item: NewsItem,
+    /// The item itself (metadata + body size), shared with every cache that
+    /// admits it.
+    pub item: Arc<NewsItem>,
     /// Dissemination id (derived from the item id; drives dedup).
     pub msg_id: u64,
     /// Per-hop interest filter, precomputed by the publisher.
@@ -102,8 +108,8 @@ impl Envelope {
 /// §12). Before this, bare-item paths were an unsigned side door.
 #[derive(Debug, Clone)]
 pub struct SignedItem {
-    /// The item.
-    pub item: NewsItem,
+    /// The item, shared with the responder's cache.
+    pub item: Arc<NewsItem>,
     /// Signing key id.
     pub key: KeyId,
     /// The publisher's signature over the item bytes.
@@ -178,14 +184,14 @@ pub enum NewsWireMsg {
     /// Cover `zone` with the enveloped item.
     Forward {
         /// The signed item.
-        env: Envelope,
+        env: Arc<Envelope>,
         /// The zone the receiver must cover.
         zone: ZoneId,
     },
     /// Final hop to a leaf-zone member.
     Deliver {
         /// The signed item.
-        env: Envelope,
+        env: Arc<Envelope>,
     },
     /// A representative's receipt for a `Forward`: it has taken coverage
     /// duty for `zone` (or already held it). Any representative's ack
@@ -328,7 +334,7 @@ mod tests {
         };
         let big = NewsWireMsg::RepairReply {
             items: vec![SignedItem {
-                item: NewsItem::builder(PublisherId(0), 0).body_len(5000).build(),
+                item: Arc::new(NewsItem::builder(PublisherId(0), 0).body_len(5000).build()),
                 key: KeyId(1),
                 signature: Signature(2),
                 basis: None,
@@ -342,11 +348,13 @@ mod tests {
 
     #[test]
     fn delta_basis_shrinks_compressed_size_only() {
-        let item = NewsItem::builder(PublisherId(2), 9)
-            .slug("merger")
-            .revision(3, None)
-            .body_len(6000)
-            .build();
+        let item = Arc::new(
+            NewsItem::builder(PublisherId(2), 9)
+                .slug("merger")
+                .revision(3, None)
+                .body_len(6000)
+                .build(),
+        );
         let full =
             SignedItem { item: item.clone(), key: KeyId(1), signature: Signature(2), basis: None };
         let delta = SignedItem {

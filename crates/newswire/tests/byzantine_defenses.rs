@@ -11,6 +11,7 @@ use newswire::{
     issue_publisher, DeploymentBuilder, NewsWireConfig, NewsWireMsg, PublisherSpec, SignedItem,
 };
 use simnet::{NodeId, SimTime};
+use std::sync::Arc;
 
 const N: u32 = 24;
 const VICTIM: NodeId = NodeId(10);
@@ -104,13 +105,13 @@ fn repair_reply_funnel_refuses_forged_items_but_admits_signed_ones() {
     let reply = NewsWireMsg::RepairReply {
         items: vec![
             SignedItem {
-                item: forged.clone(),
+                item: Arc::new(forged.clone()),
                 key: KeyId(123),
                 signature: Signature(456),
                 basis: None,
             },
             SignedItem {
-                item: genuine.clone(),
+                item: Arc::new(genuine.clone()),
                 key: cred.key_id(),
                 signature: genuine_sig,
                 basis: None,

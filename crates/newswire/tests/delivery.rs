@@ -29,6 +29,23 @@ fn exact_interest_set_receives_item() {
 }
 
 #[test]
+fn every_cached_copy_shares_the_publishers_allocation() {
+    let mut d = tech_news_deployment(80, 1);
+    d.settle(60);
+    let item = tech_item(0);
+    d.publish(SimTime::from_secs(60), item.clone());
+    d.settle(30);
+    let publisher = d.sim.node(d.publisher_node(PublisherId(0)));
+    let original = publisher.cache.get(item.id).expect("the publisher caches its own output");
+    let delivered = d.delivered_nodes(&item);
+    assert!(!delivered.is_empty(), "workload should create interest");
+    for id in delivered {
+        let copy = d.sim.node(id).cache.get(item.id).expect("delivered items are cached");
+        assert!(std::ptr::eq(copy, original), "node {id} holds a deep copy");
+    }
+}
+
+#[test]
 fn multiple_items_latency_within_tens_of_seconds() {
     let mut d = tech_news_deployment(100, 2);
     d.settle(60);

@@ -228,6 +228,7 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
     use newswire::{self_stabilized, NewsWireMsg, SignedItem};
     use simnet::{CorruptionOp, LiarBehavior, LiarMode, LiarSpec, StrikeSpec};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     fn byzantine_run(seed: u64) -> (String, String) {
         let mut d = tech_news_deployment(40, seed);
@@ -285,7 +286,7 @@ fn same_seed_byzantine_run_drains_identical_telemetry() {
             NodeId(7),
             NewsWireMsg::RepairReply {
                 items: vec![SignedItem {
-                    item: forged,
+                    item: Arc::new(forged),
                     key: KeyId(123),
                     signature: Signature(456),
                     basis: None,
