@@ -240,6 +240,26 @@ mod tests {
     }
 
     #[test]
+    fn repair_keeps_a_multicast_stream_near_complete_under_heavy_loss() {
+        // Sanity version of E8's headline: under 30% loss, gossip repair
+        // concentrates every multicast's delivery fraction near 1.
+        let n = 40u32;
+        let mut sim = group(n, 0.3, 23);
+        for m in 0..20u64 {
+            sim.schedule_external(
+                SimTime::from_secs(1 + m),
+                NodeId((m % u64::from(n)) as u32),
+                PbcastMsg::Publish { id: m, len: 64 },
+            );
+        }
+        sim.run_until(SimTime::from_secs(60));
+        for m in 0..20u64 {
+            let frac = delivered_count(&sim, m) as f64 / f64::from(n);
+            assert!(frac > 0.95, "msg {m} delivered to {frac}");
+        }
+    }
+
+    #[test]
     fn buffered_repair_window_is_bounded() {
         let mut sim = group(4, 0.0, 3);
         // Publish far more than the buffer holds.

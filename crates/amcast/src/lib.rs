@@ -15,44 +15,43 @@
 //! * [`SeqLog`] — epoch/sequence-numbered per-source article logs whose
 //!   fixed-size [`RangeSummary`] digests piggyback on gossip to drive
 //!   anti-entropy hole detection after partitions.
-//! * [`McastNode`] — the composed simulated node (Astrolabe agent +
-//!   forwarding component).
 //! * [`PbcastNode`] — Bimodal Multicast, the yardstick protocol of §5.
+//!
+//! The node that composes these with an Astrolabe agent is
+//! `newswire::NewsWireNode`.
 //!
 //! # Example
 //!
 //! ```
-//! use amcast::{FilterSpec, McastConfig, McastData, McastMsg, McastNode};
+//! use amcast::{route, Action, FilterSpec};
 //! use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
-//! use simnet::{NetworkModel, NodeId, SimDuration, SimTime, Simulation};
+//! use simnet::{fork, SimTime};
 //!
-//! let n = 16;
-//! let layout = ZoneLayout::new(n, 4);
-//! let mut config = Config::standard();
-//! config.branching = 4;
-//! let mut sim = Simulation::new(NetworkModel::ideal(SimDuration::from_millis(10)), 3);
-//! for i in 0..n {
-//!     let agent = Agent::new(i, &layout, config.clone(), vec![0]);
-//!     sim.add_node(McastNode::new(agent, McastConfig::default()));
+//! // Two agents share one leaf zone; three gossip rounds, each delivered
+//! // until no message is left in flight, fill both tables.
+//! let layout = ZoneLayout::new(2, 4);
+//! let mut rng = fork(3, 0);
+//! let mut agents = [
+//!     Agent::new(0, &layout, Config::standard(), vec![1]),
+//!     Agent::new(1, &layout, Config::standard(), vec![0]),
+//! ];
+//! for round in 1..=3 {
+//!     let now = SimTime::from_secs(round);
+//!     let mut inflight = Vec::new();
+//!     for agent in agents.iter_mut() {
+//!         let from = agent.id();
+//!         inflight.extend(agent.on_tick(now, &mut rng).into_iter().map(|(to, m)| (from, to, m)));
+//!     }
+//!     while let Some((from, to, msg)) = inflight.pop() {
+//!         let replies = agents[to as usize].on_message(now, from, msg, &mut rng);
+//!         inflight.extend(replies.into_iter().map(|(next, m)| (to, next, m)));
+//!     }
 //! }
-//! // Let membership and representative election converge…
-//! sim.run_until(SimTime::from_secs(40));
-//! // …then multicast from node 0 to the whole system.
-//! let data = McastData {
-//!     id: 424242,
-//!     origin: 0,
-//!     priority: 3,
-//!     payload: bytes::Bytes::from_static(b"breaking"),
-//!     filter: FilterSpec::All,
-//! };
-//! sim.schedule_external(
-//!     SimTime::from_secs(40),
-//!     NodeId(0),
-//!     McastMsg::Publish { data, scope: ZoneId::root() },
-//! );
-//! sim.run_until(SimTime::from_secs(50));
-//! let delivered = sim.iter().filter(|(_, node)| node.has_delivered(424242)).count();
-//! assert_eq!(delivered, n as usize);
+//! // SendToZone(root) from agent 0: deliver locally and hand the item to
+//! // the other member of the leaf zone.
+//! let actions = route(&agents[0], &FilterSpec::All, &ZoneId::root(), 1, &mut rng);
+//! assert!(actions.contains(&Action::DeliverLocal));
+//! assert!(actions.contains(&Action::Deliver { member: 1 }));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,15 +61,13 @@ mod bimodal;
 mod dedup;
 mod log;
 mod mcast;
-mod node;
 mod queues;
 mod seqlog;
 
 pub use bimodal::{PbcastConfig, PbcastMsg, PbcastNode};
 pub use dedup::{CoverageWindow, DedupWindow};
 pub use log::{ForwardEvent, ForwardLog, LogRecord};
-pub use mcast::{route, zone_reps, Action, FilterSpec, McastData};
-pub use node::{McastConfig, McastMsg, McastNode, McastStats};
+pub use mcast::{route, zone_reps, Action, FilterSpec};
 pub use queues::{ForwardingQueues, Queued, Strategy};
 pub use seqlog::{BaselineHint, RangeSummary, SeqLog};
 

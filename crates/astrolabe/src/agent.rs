@@ -31,7 +31,7 @@ use rand::seq::SliceRandom;
 use simnet::{PhiAccrualDetector, PhiConfig, SimTime};
 
 use crate::agg::{parse_program, run_program, AggProgram};
-use crate::config::Config;
+use crate::config::{Config, PHI_THRESHOLD, PHI_WINDOW};
 use crate::mib::{AttrName, Mib, MibBuilder, Stamp};
 use crate::table::{MergeOutcome, RowDigest, ZoneTable};
 use crate::value::AttrValue;
@@ -509,8 +509,8 @@ impl Agent {
     /// few rounds instead of a fixed multi-round TTL.
     fn phi_config(&self) -> PhiConfig {
         PhiConfig {
-            window: self.config.phi_window,
-            threshold: self.config.phi_threshold,
+            window: PHI_WINDOW,
+            threshold: PHI_THRESHOLD,
             first_interval: self.config.gossip_interval * 2,
             min_stddev: self.config.gossip_interval,
         }

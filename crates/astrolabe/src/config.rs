@@ -27,22 +27,14 @@ pub struct Config {
     pub gossip_interval: SimDuration,
     /// Hard staleness bound: rows issued longer ago than this are evicted
     /// and refused in merges regardless of suspicion level. Primary failure
-    /// detection is phi-accrual (see [`Config::phi_threshold`]); the TTL is
+    /// detection is phi-accrual (see [`PHI_THRESHOLD`]); the TTL is
     /// the backstop for rows whose update cadence was never observed.
     pub row_ttl: SimDuration,
-    /// Phi-accrual suspicion threshold at which a silent row is evicted.
-    /// Higher is more conservative; 8 ≈ one false eviction per 10^8
-    /// on-cadence observations.
-    pub phi_threshold: f64,
-    /// Inter-arrival samples the per-row phi detectors keep.
-    pub phi_window: usize,
     /// Representatives elected per zone (`k` of `REPSEL`).
     pub reps_per_zone: usize,
     /// Aggregation programs installed from configuration. Dynamic programs
     /// can be added at runtime via [`crate::Agent::install_aggregation`].
     pub aggregations: Vec<AggSpec>,
-    /// How many random global contacts each agent keeps for bootstrap.
-    pub contact_fanout: usize,
     /// Delta-encoded gossip (the `NEWSWIRE_DELTAS=1` arm): digests carry
     /// content hashes and may cover only rows changed since the last
     /// exchange with the peer, replies re-stamp unchanged rows instead of
@@ -52,6 +44,17 @@ pub struct Config {
     /// without the delta protocol.
     pub delta_gossip: bool,
 }
+
+/// Phi-accrual suspicion threshold at which a silent row is evicted.
+/// Higher is more conservative; 8 ≈ one false eviction per 10^8
+/// on-cadence observations.
+pub const PHI_THRESHOLD: f64 = 8.0;
+
+/// Inter-arrival samples the per-row phi detectors keep.
+pub const PHI_WINDOW: usize = 16;
+
+/// How many random global contacts each agent is given for bootstrap.
+pub const CONTACT_FANOUT: usize = 3;
 
 /// In delta-gossip mode, every n-th digest to a given peer is a full
 /// digest — the safety net that re-advertises rows a lost partial digest
@@ -77,11 +80,8 @@ impl Config {
             branching: crate::zone::DEFAULT_BRANCHING,
             gossip_interval: SimDuration::from_secs(2),
             row_ttl: SimDuration::from_secs(30),
-            phi_threshold: 8.0,
-            phi_window: 16,
             reps_per_zone: k,
             aggregations: vec![AggSpec::new("core", Self::core_program(k))],
-            contact_fanout: 3,
             delta_gossip: simnet::delta_mode(),
         }
     }

@@ -69,7 +69,9 @@ pub use agg::{
     EvalError, Expr, ParseAggError, RowSource,
 };
 pub use cert::{Certificate, KeyId, RotationRecord, SecretKey, Signature, TrustRegistry};
-pub use config::{AggSpec, Config, DELTA_FULL_EXCHANGE_PERIOD};
+pub use config::{
+    AggSpec, Config, CONTACT_FANOUT, DELTA_FULL_EXCHANGE_PERIOD, PHI_THRESHOLD, PHI_WINDOW,
+};
 pub use mib::{AttrName, Mib, MibBuilder, Stamp};
 pub use simnode::AstroNode;
 pub use table::{MergeOutcome, Row, RowDigest, ZoneTable};

@@ -17,7 +17,7 @@ fn build_sim(
     let mut contact_rng = fork(seed, 999);
     let mut sim = Simulation::new(net, seed);
     for i in 0..n {
-        let contacts: Vec<u32> = (0..config.contact_fanout)
+        let contacts: Vec<u32> = (0..astrolabe::CONTACT_FANOUT)
             .map(|_| rand::Rng::gen_range(&mut contact_rng, 0..n))
             .collect();
         sim.add_node(AstroNode::new(Agent::new(i, &layout, config.clone(), contacts)));

@@ -73,19 +73,16 @@ fn run_model(n: u32, model: Model, seed: u64) -> Outcome {
                 sub.subscribe_category(PublisherId(0), Category::Technology);
             }
             Model::Flood => {
-                // No summary at all: saturate the Bloom bits so every zone
-                // always appears interested.
-                sub.subscribe_subject(topic_subject(topic));
+                // No pruning: subscribe to every topic so every zone's
+                // summary admits every item (the user still only *wants*
+                // `topic`). A real subscription, so the self-audit that
+                // re-derives `subs` from it leaves the flood in place.
+                for t in 0..TOPICS {
+                    sub.subscribe_subject(topic_subject(t));
+                }
             }
         }
         d.sim.node_mut(NodeId(i)).set_subscription(sub);
-        if model == Model::Flood {
-            let bits = filters::BitArray::from_bytes(1024, &[0xFF; 128]);
-            d.sim
-                .node_mut(NodeId(i))
-                .agent
-                .set_local_attr("subs", astrolabe::AttrValue::Bits(bits));
-        }
     }
 
     d.settle(75);

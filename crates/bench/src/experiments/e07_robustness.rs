@@ -8,78 +8,53 @@
 //! worst case: the tree's tables still name the dead nodes as
 //! representatives) and measure the delivery ratio among survivors for
 //! k = 1, 2, 3 redundant representatives, plus the duplicate-suppression
-//! work k costs. Cache repair is *not* running here — this isolates the
-//! first-pass tree robustness.
+//! work k costs. Cache repair, log reconciliation and acknowledged
+//! hand-offs are *not* running here — this isolates the first-pass tree
+//! robustness.
 
 use std::collections::HashSet;
 
-use amcast::{FilterSpec, McastConfig, McastData, McastMsg, McastNode};
-use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
-use bytes::Bytes;
 use rand::Rng;
-use simnet::{fork, NetworkModel, NodeId, SimTime, Simulation};
+use simnet::{fork, NodeId, SimDuration};
 
+use crate::experiments::support::{tech_item, tree_only_deployment};
 use crate::Table;
-
-fn build(n: u32, k: usize, seed: u64) -> Simulation<McastNode> {
-    let layout = ZoneLayout::new(n, 8);
-    // Elect as many representatives per zone as the forwarding redundancy
-    // uses, otherwise k > reps_per_zone silently degrades to the smaller.
-    let mut aconfig = Config::with_reps(k);
-    aconfig.branching = 8;
-    let mut contact_rng = fork(seed, 99);
-    let mut sim = Simulation::new(NetworkModel::default(), seed);
-    for i in 0..n {
-        let contacts: Vec<u32> = (0..3).map(|_| contact_rng.gen_range(0..n)).collect();
-        let agent = Agent::new(i, &layout, aconfig.clone(), contacts);
-        sim.add_node(McastNode::new(agent, McastConfig { redundancy: k, ..Default::default() }));
-    }
-    sim
-}
 
 /// Returns (survivor delivery ratio %, duplicates per delivery).
 fn run_point(n: u32, fail_pct: u32, k: usize, seed: u64) -> (f64, f64) {
-    let mut sim = build(n, k, seed);
-    sim.run_until(SimTime::from_secs(60));
+    // Elect as many representatives per zone as the forwarding redundancy
+    // uses, otherwise k > reps_per_zone silently degrades to the smaller.
+    let mut d = tree_only_deployment(n, k, k, None, seed);
+    d.settle(60);
+    let t0 = d.sim.now();
     let mut victim_rng = fork(seed, 7);
     // Vec keeps the crash schedule in draw order (deterministic); the set
     // makes dedup and the survivor scan O(1) per probe instead of O(n).
     let mut victims: Vec<u32> = Vec::new();
     let mut victim_set: HashSet<u32> = HashSet::new();
     while (victims.len() as u32) < n * fail_pct / 100 {
-        let v = victim_rng.gen_range(1..n); // node 0 stays (origin)
+        let v = victim_rng.gen_range(1..n); // node 0 stays (publisher)
         if victim_set.insert(v) {
             victims.push(v);
         }
     }
     for &v in &victims {
-        sim.schedule_crash(SimTime::from_secs(60), NodeId(v));
+        d.sim.schedule_crash(t0, NodeId(v));
     }
-    let items = 5u64;
-    for m in 0..items {
-        let data = McastData {
-            id: 1_000 + m,
-            origin: 0,
-            priority: 3,
-            payload: Bytes::from_static(b"item"),
-            filter: FilterSpec::All,
-        };
-        sim.schedule_external(
-            SimTime::from_secs(60),
-            NodeId(0),
-            McastMsg::Publish { data, scope: ZoneId::root() },
-        );
+    let items: Vec<_> = (0..5).map(tech_item).collect();
+    for item in &items {
+        d.publish(t0, item.clone());
     }
-    sim.run_until(SimTime::from_secs(75));
-    let live: Vec<u32> = (0..n).filter(|i| !victim_set.contains(i)).collect();
+    d.sim.run_until(t0 + SimDuration::from_secs(15));
+    let live: Vec<u32> = (1..n).filter(|i| !victim_set.contains(i)).collect();
     let mut delivered = 0u64;
     let mut dups = 0u64;
     for &i in &live {
-        let node = sim.node(NodeId(i));
-        delivered += (1_000..1_000 + items).filter(|&m| node.has_delivered(m)).count() as u64;
-        dups += node.stats.duplicates_dropped;
+        let node = d.sim.node(NodeId(i));
+        delivered += items.iter().filter(|item| node.has_item(item.id)).count() as u64;
+        dups += node.stats.duplicates;
     }
-    let expected = live.len() as u64 * items;
+    let expected = (live.len() * items.len()) as u64;
     (100.0 * delivered as f64 / expected as f64, dups as f64 / delivered.max(1) as f64)
 }
 
@@ -103,8 +78,9 @@ pub(crate) fn run(quick: bool) {
         ]);
     }
     table.caption(format!(
-        "{n} nodes, branching 8, 5 items published the instant the nodes die, no cache repair; \
-         paper: redundancy increases robustness, duplicates removed by item id"
+        "{n} nodes, branching 8, 5 items published the instant the nodes die, no cache repair, \
+         no reconciliation, no hand-off acks; paper: redundancy increases robustness, \
+         duplicates removed by item id"
     ));
     table.print();
 }

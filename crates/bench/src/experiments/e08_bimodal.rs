@@ -10,16 +10,13 @@
 //! intermediate ratios the way a raw lossy tree or raw IP multicast does.
 //! We publish a stream of multicasts under per-message loss and histogram
 //! the short-horizon delivery ratio for: raw pbcast (repair disabled),
-//! pbcast with repair, and Astrolabe SendToZone with k = 1 and k = 2.
+//! pbcast with repair, and NewsWire's SendToZone tree with k = 1 and k = 2
+//! (first pass only: no cache repair, reconciliation or hand-off acks).
 
-use amcast::{
-    FilterSpec, McastConfig, McastData, McastMsg, McastNode, PbcastConfig, PbcastMsg, PbcastNode,
-};
-use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
-use bytes::Bytes;
-use rand::Rng;
-use simnet::{fork, NetworkModel, NodeId, SimDuration, SimTime, Simulation};
+use amcast::{PbcastConfig, PbcastMsg, PbcastNode};
+use simnet::{NetworkModel, NodeId, SimDuration, SimTime, Simulation};
 
+use crate::experiments::support::{tech_item, tree_only_deployment};
 use crate::Table;
 
 const MCASTS: u64 = 30;
@@ -67,37 +64,16 @@ fn pbcast_ratios(n: u32, loss: f64, repair: bool, seed: u64) -> Vec<f64> {
 }
 
 fn astrolabe_ratios(n: u32, loss: f64, k: usize, seed: u64) -> Vec<f64> {
-    let layout = ZoneLayout::new(n, 8);
-    let mut aconfig = Config::standard();
-    aconfig.branching = 8;
-    let mut net = NetworkModel::ideal(SimDuration::from_millis(15));
-    net.drop_prob = loss;
-    let mut contact_rng = fork(seed, 99);
-    let mut sim = Simulation::new(net, seed);
-    for i in 0..n {
-        let contacts: Vec<u32> = (0..3).map(|_| contact_rng.gen_range(0..n)).collect();
-        let agent = Agent::new(i, &layout, aconfig.clone(), contacts);
-        sim.add_node(McastNode::new(agent, McastConfig { redundancy: k, ..Default::default() }));
-    }
-    sim.run_until(SimTime::from_secs(60));
+    let mut d = tree_only_deployment(n, 2, k, Some(loss), seed);
+    d.settle(60);
+    let subscribers = f64::from(n - 1);
     let mut ratios = Vec::new();
     for m in 0..MCASTS {
         let at = SimTime::from_secs(60 + m * HORIZON_S);
-        let data = McastData {
-            id: m,
-            origin: (m % u64::from(n)) as u32,
-            priority: 3,
-            payload: Bytes::from_static(b"item"),
-            filter: FilterSpec::All,
-        };
-        sim.schedule_external(
-            at,
-            NodeId((m % u64::from(n)) as u32),
-            McastMsg::Publish { data, scope: ZoneId::root() },
-        );
-        sim.run_until(at + SimDuration::from_secs(HORIZON_S));
-        let got = sim.iter().filter(|(_, node)| node.has_delivered(m)).count();
-        ratios.push(got as f64 / f64::from(n));
+        let item = tech_item(m);
+        d.publish(at, item.clone());
+        d.sim.run_until(at + SimDuration::from_secs(HORIZON_S));
+        ratios.push(d.delivered_nodes(&item).len() as f64 / subscribers);
     }
     ratios
 }

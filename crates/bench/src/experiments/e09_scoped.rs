@@ -10,27 +10,11 @@
 //! (deliveries outside the scope must be zero even though the publisher
 //! itself sits in a *different* region and relays in).
 
-use amcast::{FilterSpec, McastConfig, McastData, McastMsg, McastNode};
-use astrolabe::{Agent, Config, ZoneId, ZoneLayout};
-use bytes::Bytes;
-use rand::Rng;
-use simnet::{fork, NetworkModel, NodeId, SimTime, Simulation};
+use astrolabe::{ZoneId, ZoneLayout};
+use simnet::{SimDuration, SimTime};
 
+use crate::experiments::support::{tech_item, tree_only_deployment};
 use crate::Table;
-
-fn build(n: u32, seed: u64) -> (Simulation<McastNode>, ZoneLayout) {
-    let layout = ZoneLayout::new(n, 8);
-    let mut aconfig = Config::standard();
-    aconfig.branching = 8;
-    let mut contact_rng = fork(seed, 99);
-    let mut sim = Simulation::new(NetworkModel::default(), seed);
-    for i in 0..n {
-        let contacts: Vec<u32> = (0..3).map(|_| contact_rng.gen_range(0..n)).collect();
-        let agent = Agent::new(i, &layout, aconfig.clone(), contacts);
-        sim.add_node(McastNode::new(agent, McastConfig::default()));
-    }
-    (sim, layout)
-}
 
 struct Outcome {
     delivered_inside: usize,
@@ -39,41 +23,32 @@ struct Outcome {
 }
 
 fn publish_with_scope(n: u32, scope_child: Option<u16>, seed: u64) -> Outcome {
-    let (mut sim, layout) = build(n, seed);
-    sim.run_until(SimTime::from_secs(45));
+    let mut d = tree_only_deployment(n, 2, 1, None, seed);
+    d.settle(45);
     // Gossip baseline over a publish-window-sized interval, so the
     // publish-attributable message count can be isolated.
-    let b0 = sim.total_counters().msgs_sent;
-    sim.run_until(SimTime::from_secs(60));
-    let gossip_baseline = sim.total_counters().msgs_sent - b0;
+    let b0 = d.sim.total_counters().msgs_sent;
+    d.sim.run_until(SimTime::from_secs(60));
+    let gossip_baseline = d.sim.total_counters().msgs_sent - b0;
     let scope = match scope_child {
         None => ZoneId::root(),
         Some(c) => ZoneId::root().child(c),
     };
-    let inside = layout.agents_under(&scope);
-    let before = sim.total_counters().msgs_sent;
+    let inside = d.layout.agents_under(&scope);
+    let before = d.sim.total_counters().msgs_sent;
     // Publisher deliberately OUTSIDE the scope (cross-zone relay path).
-    let origin = 0u32;
-    assert!(scope_child.is_none() || !inside.contains(&origin));
-    for m in 0..5u64 {
-        let data = McastData {
-            id: m,
-            origin,
-            priority: 3,
-            payload: Bytes::from_static(b"regional"),
-            filter: FilterSpec::All,
-        };
-        sim.schedule_external(
-            SimTime::from_secs(60),
-            NodeId(origin),
-            McastMsg::Publish { data, scope: scope.clone() },
-        );
+    let origin = d.publishers[0].1;
+    assert!(scope_child.is_none() || !inside.contains(&origin.0));
+    let items: Vec<_> = (0..5).map(tech_item).collect();
+    let t0 = d.sim.now();
+    for item in &items {
+        d.publish_scoped(t0, item.clone(), scope.clone());
     }
-    sim.run_until(SimTime::from_secs(75));
+    d.sim.run_until(t0 + SimDuration::from_secs(15));
     let mut di = 0;
     let mut doutside = 0;
-    for (id, node) in sim.iter() {
-        let got = (0..5).filter(|&m| node.has_delivered(m)).count();
+    for (id, node) in d.sim.iter() {
+        let got = items.iter().filter(|item| node.has_item(item.id)).count();
         if inside.contains(&id.0) {
             di += got;
         } else {
@@ -83,7 +58,7 @@ fn publish_with_scope(n: u32, scope_child: Option<u16>, seed: u64) -> Outcome {
     Outcome {
         delivered_inside: di,
         delivered_outside: doutside,
-        msgs: (sim.total_counters().msgs_sent - before).saturating_sub(gossip_baseline),
+        msgs: (d.sim.total_counters().msgs_sent - before).saturating_sub(gossip_baseline),
     }
 }
 

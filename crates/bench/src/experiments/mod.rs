@@ -27,7 +27,8 @@ pub(crate) mod support {
     //! Shared deployment builders for the experiments.
 
     use newsml::{Category, PublisherId, PublisherProfile};
-    use newswire::{Deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec};
+    use newswire::{Deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec, Subscription};
+    use simnet::NodeId;
 
     /// A standard single-publisher NewsWire deployment for scale sweeps.
     pub fn newswire_deployment(n: u32, branching: u16, seed: u64) -> Deployment {
@@ -40,6 +41,42 @@ pub(crate) mod support {
             .publisher(PublisherSpec::global(profile))
             .cats_per_subscriber(2)
             .build()
+    }
+
+    /// A deployment of `nodes` nodes (publisher 0 plus subscribers,
+    /// branching 8) that isolates first-pass tree dissemination: no cache
+    /// repair, no log reconciliation, no acknowledged hand-offs, and every
+    /// subscriber subscribed to Technology, the category of [`tech_item`].
+    /// The zone tables elect `reps` representatives per zone, forwarding
+    /// uses `redundancy` of them, and `wan_loss` switches to the WAN latency
+    /// model with that drop probability.
+    pub fn tree_only_deployment(
+        nodes: u32,
+        reps: usize,
+        redundancy: usize,
+        wan_loss: Option<f64>,
+        seed: u64,
+    ) -> Deployment {
+        let mut config = NewsWireConfig::tech_news();
+        config.astrolabe = astrolabe::Config::with_reps(reps);
+        config.redundancy = redundancy;
+        config.repair_interval = None;
+        config.anti_entropy = false;
+        config.ack_timeout = None;
+        let mut builder = DeploymentBuilder::new(nodes - 1, seed)
+            .branching(8)
+            .config(config)
+            .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))));
+        if let Some(loss) = wan_loss {
+            builder = builder.wan(loss);
+        }
+        let mut d = builder.build();
+        for i in 1..nodes {
+            let mut sub = Subscription::new();
+            sub.subscribe_category(PublisherId(0), Category::Technology);
+            d.sim.node_mut(NodeId(i)).set_subscription(sub);
+        }
+        d
     }
 
     /// A test item from publisher 0 hitting the Technology interest set.

@@ -2,7 +2,6 @@
 //! (§10): technical news (Slashdot, Wired, The Register, News.com) and
 //! general news (Reuters, AP, The New York Times).
 
-use amcast::Strategy;
 use astrolabe::AggSpec;
 use newsml::PublisherId;
 use simnet::SimDuration;
@@ -45,31 +44,19 @@ pub struct NewsWireConfig {
     pub model: SubscriptionModel,
     /// Representatives used per interested child during forwarding.
     pub redundancy: usize,
-    /// Forwarding queue discipline.
-    pub strategy: Strategy,
-    /// Forwarding service time per message.
-    pub service_interval: SimDuration,
     /// End-system cache policy.
     pub cache: CachePolicy,
     /// Period of cache anti-entropy repair (end-to-end reliability, §9);
     /// `None` disables repair.
     pub repair_interval: Option<SimDuration>,
-    /// Maximum items shipped per repair reply.
-    pub repair_batch: usize,
     /// Base timeout for acknowledged tree hand-offs: a forwarder arms a
     /// timer per `Forward` it transmits and, absent a `ForwardAck`, retries
-    /// with exponential backoff before failing over to another
-    /// representative. `None` restores the seed's unacknowledged hand-offs
-    /// (a slow-but-alive representative silently blackholes its subtree
-    /// until anti-entropy catches it).
+    /// the same representative once with a doubled timeout, then fails over
+    /// to up to two other representatives before abandoning the hand-off to
+    /// anti-entropy repair. `None` restores the seed's unacknowledged
+    /// hand-offs (a slow-but-alive representative silently blackholes its
+    /// subtree until anti-entropy catches it).
     pub ack_timeout: Option<SimDuration>,
-    /// Retries against the *same* representative before failing over.
-    pub ack_retries: u32,
-    /// Backoff multiplier applied to `ack_timeout` per retry.
-    pub ack_backoff: u32,
-    /// Alternative representatives tried after retries are exhausted;
-    /// beyond this the hand-off is abandoned to anti-entropy repair.
-    pub ack_max_failovers: u32,
     /// Timeout on repair replies: absent a `RepairReply`, re-target a
     /// different peer instead of idling a full `repair_interval`.
     /// `None` disables re-targeting. Also bounds reconciliation replies.
@@ -96,13 +83,6 @@ pub struct NewsWireConfig {
     /// deterministic and cost one table sweep per few gossip rounds; E17
     /// runs the ablation with them off.
     pub defenses: bool,
-    /// Misbehavior score at which a peer is quarantined (DESIGN §12):
-    /// invalid signatures score 2, refused epoch-fence replies and digest
-    /// contradictions score 1 each, and a peer at or past this threshold is
-    /// treated as suspect for repair, reconciliation, and hand-off
-    /// failover until it restarts under a fresh incarnation. Only consulted
-    /// when `defenses` is on.
-    pub quarantine_threshold: u32,
     /// The delta-everything wire protocol (`NEWSWIRE_DELTAS=1`): revised
     /// envelopes and repair/reconcile replies carry CDC delta annotations
     /// against baselines the receiver holds, requests declare held
@@ -132,20 +112,13 @@ impl NewsWireConfig {
             astrolabe: astrolabe::Config::standard(),
             model: SubscriptionModel::Bloom { bits: 1024, hashes: 3 },
             redundancy: 2,
-            strategy: Strategy::WeightedRoundRobin,
-            service_interval: SimDuration::from_micros(500),
             cache: CachePolicy::default(),
             repair_interval: Some(SimDuration::from_secs(10)),
-            repair_batch: 64,
             ack_timeout: Some(SimDuration::from_secs(2)),
-            ack_retries: 1,
-            ack_backoff: 2,
-            ack_max_failovers: 2,
             repair_reply_timeout: Some(SimDuration::from_secs(3)),
             anti_entropy: true,
             durable_state: false,
             defenses: true,
-            quarantine_threshold: 3,
             deltas: simnet::delta_mode(),
             admission: false,
             zone_quota: 64,

@@ -193,7 +193,7 @@ impl DeploymentBuilder {
 
         for i in 0..n {
             let contacts: Vec<u32> =
-                (0..astro_cfg.contact_fanout).map(|_| contact_rng.gen_range(0..n)).collect();
+                (0..astrolabe::CONTACT_FANOUT).map(|_| contact_rng.gen_range(0..n)).collect();
             let agent = astrolabe::Agent::new(i, &layout, astro_cfg.clone(), contacts);
             let mut node = NewsWireNode::new(agent, self.config.clone(), Arc::clone(&registry));
             for (cert, attest) in &authority {

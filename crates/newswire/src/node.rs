@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use amcast::{
     route, zone_reps, Action, BaselineHint, CoverageWindow, FilterSpec, ForwardEvent, ForwardLog,
-    ForwardingQueues, LogRecord, RangeSummary, SeqLog,
+    ForwardingQueues, LogRecord, RangeSummary, SeqLog, Strategy,
 };
 use astrolabe::{
     Agent, AttrValue, Certificate, GossipMsg, KeyId, Mib, MibBuilder, RotationRecord, Signature,
@@ -230,6 +230,33 @@ const MISBEHAVIOR_FENCE: u32 = 1;
 /// digest advertised coverage for our holes replies with an empty log.
 const MISBEHAVIOR_CONTRADICTION: u32 = 1;
 
+/// Forwarding queue discipline (paper §9: "weighted round-robin").
+const FORWARD_STRATEGY: Strategy = Strategy::WeightedRoundRobin;
+
+/// Forwarding service time per message: models forwarding bandwidth, so
+/// queues build up when the offered load exceeds it.
+const SERVICE_INTERVAL: SimDuration = SimDuration::from_micros(500);
+
+/// Maximum items shipped per repair or reconcile reply.
+const REPAIR_BATCH: usize = 64;
+
+/// Acknowledged hand-offs: retries against the *same* representative
+/// before failing over.
+const ACK_RETRIES: u32 = 1;
+/// Backoff multiplier applied to `ack_timeout` per retry (and to the
+/// reconcile reply timeout per re-target).
+const ACK_BACKOFF: u64 = 2;
+/// Alternative representatives tried after retries are exhausted; beyond
+/// this the hand-off is abandoned to anti-entropy repair. Also caps
+/// reconcile re-targets.
+const ACK_MAX_FAILOVERS: u32 = 2;
+
+/// Misbehavior score at which a peer is quarantined (DESIGN §12): a peer
+/// at or past it is treated as suspect for repair, reconciliation and
+/// hand-off failover until it restarts under a fresh incarnation. Only
+/// consulted when `defenses` is on.
+const QUARANTINE_THRESHOLD: u32 = 3;
+
 /// Most baseline hints a repair/reconcile request carries (16 bytes each):
 /// enough to cover every live story line in the target configurations
 /// without letting the request itself outgrow the reply it is optimizing.
@@ -336,7 +363,7 @@ pub struct NewsWireNode {
     authority: HashMap<PublisherId, EpochAttest>,
     /// Per-peer misbehavior score (invalid signatures, refused-fence
     /// replies, digest contradictions). Crossing
-    /// `cfg.quarantine_threshold` quarantines the peer from selection.
+    /// `QUARANTINE_THRESHOLD` quarantines the peer from selection.
     misbehavior: HashMap<u32, u32>,
     /// Revoked `(publisher, key)` pairs from adopted rotation records —
     /// the fence every admission path consults *before* signature
@@ -375,7 +402,6 @@ pub struct NewsWireNode {
 impl NewsWireNode {
     /// Creates a subscriber node.
     pub fn new(mut agent: Agent, cfg: NewsWireConfig, registry: Arc<TrustRegistry>) -> Self {
-        let strategy = cfg.strategy;
         let cache = MessageCache::new(cfg.cache);
         agent.set_ingest_validation(cfg.defenses);
         let mut node = NewsWireNode {
@@ -386,7 +412,7 @@ impl NewsWireNode {
             publisher: None,
             cache,
             coverage: CoverageWindow::new(8192),
-            queues: ForwardingQueues::new(strategy),
+            queues: ForwardingQueues::new(FORWARD_STRATEGY),
             draining: false,
             stats: NodeStats::default(),
             log: ForwardLog::default(),
@@ -828,14 +854,14 @@ impl NewsWireNode {
             .insert(id.seq, ());
     }
 
-    /// Phi tuning shared with the embedded Astrolabe agent: window and
-    /// threshold from configuration, cadence floors from the gossip period
+    /// Phi tuning shared with the embedded Astrolabe agent: the same window
+    /// and threshold, cadence floors from the gossip period
     /// (every live peer talks at least that often).
     fn phi_config(&self) -> PhiConfig {
         let gossip = self.agent.config().gossip_interval;
         PhiConfig {
-            window: self.agent.config().phi_window,
-            threshold: self.agent.config().phi_threshold,
+            window: astrolabe::PHI_WINDOW,
+            threshold: astrolabe::PHI_THRESHOLD,
             first_interval: gossip.checked_mul(2).unwrap_or(gossip),
             min_stddev: gossip,
         }
@@ -865,8 +891,7 @@ impl NewsWireNode {
     /// True when `peer`'s misbehavior score has crossed the quarantine
     /// threshold (defenses on only).
     fn quarantined(&self, peer: u32) -> bool {
-        self.cfg.defenses
-            && self.misbehavior.get(&peer).is_some_and(|&s| s >= self.cfg.quarantine_threshold)
+        self.cfg.defenses && self.misbehavior.get(&peer).is_some_and(|&s| s >= QUARANTINE_THRESHOLD)
     }
 
     /// Records a misbehavior strike against `peer`, tracing the quarantine
@@ -878,11 +903,10 @@ impl NewsWireNode {
         if peer == NodeId::EXTERNAL || !self.cfg.defenses {
             return;
         }
-        let threshold = self.cfg.quarantine_threshold;
         let score = self.misbehavior.entry(peer.0).or_insert(0);
         let before = *score;
         *score = score.saturating_add(weight);
-        if before < threshold && *score >= threshold {
+        if before < QUARANTINE_THRESHOLD && *score >= QUARANTINE_THRESHOLD {
             let after = u64::from(*score);
             self.stats.peers_quarantined += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_QUARANTINES, 1);
@@ -1015,7 +1039,7 @@ impl NewsWireNode {
         obs::gauge_max!(self.agent.id(), gauge::NW_PEAK_QUEUE, self.queues.len());
         if !self.draining {
             self.draining = true;
-            ctx.set_timer(self.cfg.service_interval, DRAIN_TIMER);
+            ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER);
         }
     }
 
@@ -1455,7 +1479,7 @@ impl NewsWireNode {
     ) {
         self.next_handoff += 1;
         let tag = ACK_TAG_BASE + self.next_handoff;
-        let factor = u64::from(self.cfg.ack_backoff.max(1)).pow(attempt);
+        let factor = ACK_BACKOFF.pow(attempt);
         let delay = timeout.checked_mul(factor).unwrap_or(timeout);
         let timer = ctx.set_timer(delay, tag);
         self.ack_index.entry((env.msg_id, zone.clone())).or_default().push(tag);
@@ -1471,7 +1495,7 @@ impl NewsWireNode {
         tag: u64,
         mut handoff: PendingHandoff,
     ) {
-        let factor = u64::from(self.cfg.ack_backoff.max(1)).pow(handoff.attempt);
+        let factor = ACK_BACKOFF.pow(handoff.attempt);
         let delay = timeout.checked_mul(factor).unwrap_or(timeout);
         handoff.timer = ctx.set_timer(delay, tag);
         self.pending.insert(tag, handoff);
@@ -1501,12 +1525,12 @@ impl NewsWireNode {
         // current representative, burning the remaining same-rep retries is
         // wasted time — fail over immediately.
         let rep_suspect = self.peer_suspect(handoff.rep, now);
-        if rep_suspect && handoff.attempt < self.cfg.ack_retries {
+        if rep_suspect && handoff.attempt < ACK_RETRIES {
             self.stats.suspect_failovers += 1;
             obs::metric_add!(self.agent.id(), ctr::NW_SUSPECT_FAILOVERS, 1);
             obs::trace_event!(self.agent.id(), Layer::News, kind::PHI_SUSPECT, handoff.rep);
         }
-        if !rep_suspect && handoff.attempt < self.cfg.ack_retries {
+        if !rep_suspect && handoff.attempt < ACK_RETRIES {
             // Same representative, longer leash.
             handoff.attempt += 1;
             self.stats.ack_retries += 1;
@@ -1535,7 +1559,7 @@ impl NewsWireNode {
             return;
         }
         // Retries exhausted: fail over to a representative not yet tried.
-        let next = if handoff.failovers < self.cfg.ack_max_failovers {
+        let next = if handoff.failovers < ACK_MAX_FAILOVERS {
             let mut candidates = zone_reps(&self.agent, &handoff.zone);
             candidates.retain(|r| !handoff.tried.contains(r) && *r != handoff.rep);
             // Prefer representatives the phi detector still trusts.
@@ -1607,7 +1631,7 @@ impl NewsWireNode {
         // Back the marks off by a margin so gaps *below* the high-water
         // mark (a missed item followed by a received one) are re-offered;
         // the cache dedups the overlap.
-        let margin = (self.cfg.repair_batch / 4) as u64;
+        let margin = (REPAIR_BATCH / 4) as u64;
         let highwater = self
             .cache
             .highwaters()
@@ -1753,7 +1777,7 @@ impl NewsWireNode {
             },
         );
         if let Some(wait) = self.cfg.repair_reply_timeout {
-            let backoff = u64::from(self.cfg.ack_backoff.max(1)).pow(retargets);
+            let backoff = ACK_BACKOFF.pow(retargets);
             let delay = wait.checked_mul(backoff).unwrap_or(wait);
             let timer = ctx.set_timer(delay, RECONCILE_WAIT_TIMER);
             self.awaiting_reconcile =
@@ -1787,15 +1811,15 @@ impl NewsWireNode {
             for &(lo, hi) in ranges {
                 items.extend(
                     self.cache
-                        .items_from(publisher, lo, self.cfg.repair_batch)
+                        .items_from(publisher, lo, REPAIR_BATCH)
                         .into_iter()
                         .filter(|i| i.id.seq <= hi),
                 );
             }
-            items.extend(self.cache.items_from(publisher, tail_from, self.cfg.repair_batch));
+            items.extend(self.cache.items_from(publisher, tail_from, REPAIR_BATCH));
             items.sort_by_key(|i| i.id);
             items.dedup_by_key(|i| i.id);
-            items.truncate(self.cfg.repair_batch);
+            items.truncate(REPAIR_BATCH);
         }
         if !items.is_empty() {
             self.stats.reconciles_served += 1;
@@ -2164,6 +2188,36 @@ impl NewsWireNode {
             self.backfill_this_recovery
         );
     }
+
+    /// Wipes the protocol state every restart mode loses, freeze included:
+    /// tables, cache, delivery log, in-flight hand-offs and requests,
+    /// article logs, peer health and misbehavior scores. Signatures go with
+    /// the cache; publisher certificates and signed attestations survive —
+    /// they ship with the binary (deployment pre-install), not with
+    /// protocol state.
+    fn reset_volatile(&mut self) {
+        self.agent.reset();
+        self.cache = MessageCache::new(self.cfg.cache);
+        self.deliveries.clear();
+        self.draining = false;
+        self.pending.clear();
+        self.ack_index.clear();
+        self.awaiting_repair = None;
+        self.article_logs.clear();
+        self.peer_health.clear();
+        self.misbehavior.clear();
+        self.item_sigs.clear();
+        self.awaiting_reconcile = None;
+    }
+
+    /// Re-arms the periodic timers after a recovery or restart: gossip
+    /// first, then repair (the order fixes their event keys).
+    fn rearm_timers(&mut self, ctx: &mut Context<'_, NewsWireMsg>) {
+        ctx.set_timer(self.agent.config().gossip_interval, GOSSIP_TIMER);
+        if let Some(repair) = self.cfg.repair_interval {
+            ctx.set_timer(repair, REPAIR_TIMER);
+        }
+    }
 }
 
 impl Node for NewsWireNode {
@@ -2316,20 +2370,20 @@ impl Node for NewsWireNode {
                 // Everything at or past the requester's (margin-backed)
                 // marks…
                 for (publisher, hw) in &highwater {
-                    items.extend(self.cache.items_from(*publisher, *hw, self.cfg.repair_batch));
+                    items.extend(self.cache.items_from(*publisher, *hw, REPAIR_BATCH));
                 }
                 // …plus publishers the requester has never heard from.
                 for (publisher, _) in self.cache.highwaters() {
                     if !highwater.iter().any(|(p, _)| *p == publisher) {
-                        items.extend(self.cache.items_from(publisher, 0, self.cfg.repair_batch));
+                        items.extend(self.cache.items_from(publisher, 0, REPAIR_BATCH));
                     }
                 }
                 if want_snapshot {
-                    items.extend(self.cache.snapshot(self.cfg.repair_batch));
+                    items.extend(self.cache.snapshot(REPAIR_BATCH));
                 }
                 items.sort_by_key(|i| i.id);
                 items.dedup_by_key(|i| i.id);
-                items.truncate(self.cfg.repair_batch);
+                items.truncate(REPAIR_BATCH);
                 if !items.is_empty() {
                     self.stats.repairs_served += 1;
                     self.stats.repair_items_sent += items.len() as u64;
@@ -2439,7 +2493,7 @@ impl Node for NewsWireNode {
                 if self.queues.is_empty() {
                     self.draining = false;
                 } else {
-                    ctx.set_timer(self.cfg.service_interval, DRAIN_TIMER);
+                    ctx.set_timer(SERVICE_INTERVAL, DRAIN_TIMER);
                 }
             }
             REPAIR_TIMER => {
@@ -2480,7 +2534,7 @@ impl Node for NewsWireNode {
                 // zone boundary (a bounded number of times — the next gossip
                 // round restarts the cycle anyway).
                 let Some(p) = self.awaiting_reconcile.take() else { return };
-                if p.retargets >= self.cfg.ack_max_failovers {
+                if p.retargets >= ACK_MAX_FAILOVERS {
                     return;
                 }
                 let now = ctx.now();
@@ -2517,22 +2571,8 @@ impl Node for NewsWireNode {
         // their contents, and no incarnation is burned. State transfer
         // (`want_snapshot`) refills the cache and re-delivers what the
         // subscription matches. Cold restarts go through `on_restart`.
-        self.agent.reset();
-        self.cache = MessageCache::new(self.cfg.cache);
-        self.deliveries.clear();
-        self.draining = false;
-        self.pending.clear();
-        self.ack_index.clear();
-        self.awaiting_repair = None;
-        self.article_logs.clear();
-        self.peer_health.clear();
-        self.misbehavior.clear();
-        self.item_sigs.clear();
-        self.awaiting_reconcile = None;
-        ctx.set_timer(self.agent.config().gossip_interval, GOSSIP_TIMER);
-        if let Some(repair) = self.cfg.repair_interval {
-            ctx.set_timer(repair, REPAIR_TIMER);
-        }
+        self.reset_volatile();
+        self.rearm_timers(ctx);
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, NewsWireMsg>, mode: RestartMode) {
@@ -2545,23 +2585,9 @@ impl Node for NewsWireNode {
         // freeze keeps (forwarding queues, the duty dedup window). Stats
         // and the forward log are measurement instrumentation, not process
         // state, and survive in every mode.
-        self.agent.reset();
-        self.cache = MessageCache::new(self.cfg.cache);
+        self.reset_volatile();
         self.coverage = CoverageWindow::new(8192);
-        self.queues = ForwardingQueues::new(self.cfg.strategy);
-        self.deliveries.clear();
-        self.draining = false;
-        self.pending.clear();
-        self.ack_index.clear();
-        self.awaiting_repair = None;
-        self.article_logs.clear();
-        self.peer_health.clear();
-        self.misbehavior.clear();
-        // Signatures go with the cache; publisher certificates and signed
-        // attestations survive every restart mode — they ship with the
-        // binary (deployment pre-install), not with protocol state.
-        self.item_sigs.clear();
-        self.awaiting_reconcile = None;
+        self.queues = ForwardingQueues::new(FORWARD_STRATEGY);
         self.reconcile_cursor = 0;
         self.gossip_ticks = 0;
         self.persisted_fingerprint = 0;
@@ -2662,10 +2688,7 @@ impl Node for NewsWireNode {
         // Same re-arm cadence as a freeze; the randomized first tick is an
         // on_start-only affordance, so the cold path stays deterministic
         // relative to the legacy one.
-        ctx.set_timer(self.agent.config().gossip_interval, GOSSIP_TIMER);
-        if let Some(repair) = self.cfg.repair_interval {
-            ctx.set_timer(repair, REPAIR_TIMER);
-        }
+        self.rearm_timers(ctx);
     }
 
     fn apply_corruption(&mut self, op: &CorruptionOp, rng: &mut SmallRng) -> u64 {
@@ -3777,7 +3800,6 @@ mod tests {
     fn misbehavior_quarantine_crosses_threshold_once() {
         let mut n = node_with(NewsWireConfig::tech_news());
         let now = SimTime::from_secs(1);
-        assert_eq!(n.cfg.quarantine_threshold, 3);
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_FORGED);
         assert!(!n.quarantined(7), "one forged strike (weight 2) is below threshold");
         n.note_misbehavior(NodeId(7), MISBEHAVIOR_FENCE);

@@ -1,9 +1,11 @@
 //! Full-stack integration tests: publish → gossip-built tree → selective
 //! forwarding → exact leaf matching → cache/repair.
 
+use astrolabe::ZoneId;
 use newsml::{Category, NewsItem, PublisherId, PublisherProfile, Subject};
 use newswire::{
-    tech_news_deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec, SubscriptionModel,
+    tech_news_deployment, Deployment, DeploymentBuilder, NewsWireConfig, PublisherSpec,
+    Subscription, SubscriptionModel,
 };
 use simnet::{NodeId, SimTime};
 
@@ -316,4 +318,84 @@ fn subscription_change_takes_effect_within_tens_of_seconds() {
         d.sim.node(uninterested).has_item(after.id),
         "new subscription must route items within tens of seconds"
     );
+}
+
+/// `nodes` nodes (publisher 0 plus subscribers, branching 4) running only
+/// the first-pass tree: no hand-off acks, cache repair or anti-entropy, so
+/// whatever the tree misses stays missed. Zones elect `k` representatives
+/// and forwarding uses `k` of them; every subscriber wants Technology.
+fn tree_only(nodes: u32, k: usize, seed: u64) -> Deployment {
+    let mut config = NewsWireConfig::tech_news();
+    config.astrolabe = astrolabe::Config::with_reps(k);
+    config.redundancy = k;
+    config.ack_timeout = None;
+    config.repair_interval = None;
+    config.anti_entropy = false;
+    let mut d = DeploymentBuilder::new(nodes - 1, seed)
+        .branching(4)
+        .config(config)
+        .publisher(PublisherSpec::global(PublisherProfile::slashdot(PublisherId(0))))
+        .build();
+    for i in 1..nodes {
+        let mut sub = Subscription::new();
+        sub.subscribe_category(PublisherId(0), Category::Technology);
+        d.sim.node_mut(NodeId(i)).set_subscription(sub);
+    }
+    d.settle(45);
+    d
+}
+
+#[test]
+fn scoped_publish_from_outside_the_zone_leaks_nothing() {
+    // E9's property: a publisher in zone /0 relays into another top-level
+    // zone, and the item reaches every node there and no node elsewhere.
+    let mut d = tree_only(64, 1, 11);
+    let scope = ZoneId::root()
+        .child(*d.layout.occupied_children(&ZoneId::root()).last().expect("tree has children"));
+    let inside = d.layout.agents_under(&scope);
+    assert!(!inside.contains(&0), "the publisher must sit outside the scope");
+    let item = tech_item(0);
+    let now = d.sim.now();
+    d.publish_scoped(now, item.clone(), scope);
+    d.settle(10);
+    let delivered: Vec<u32> = d.delivered_nodes(&item).iter().map(|n| n.0).collect();
+    assert_eq!(delivered, inside, "delivery set must equal the scope");
+}
+
+#[test]
+fn redundant_reps_survive_forwarder_failures() {
+    // Crash a slice of nodes right at publish time; with k=2 redundancy the
+    // remaining forwarders still cover (almost) every live subscriber.
+    let n = 96u32;
+    let mut d = tree_only(n, 2, 13);
+    let victims: Vec<u32> = (1..n).filter(|i| i % 9 == 3).collect();
+    let now = d.sim.now();
+    for &v in &victims {
+        d.sim.schedule_crash(now, NodeId(v));
+    }
+    let item = tech_item(0);
+    d.publish(now, item.clone());
+    d.settle(10);
+    let live: Vec<u32> = (1..n).filter(|i| !victims.contains(i)).collect();
+    let got = live.iter().filter(|&&i| d.sim.node(NodeId(i)).has_item(item.id)).count();
+    let ratio = got as f64 / live.len() as f64;
+    assert!(ratio >= 0.9, "only {got}/{} live subscribers delivered", live.len());
+}
+
+#[test]
+fn duplicates_are_suppressed_not_delivered_twice() {
+    let n = 32u32;
+    let mut d = tree_only(n, 3, 17);
+    let item = tech_item(0);
+    let now = d.sim.now();
+    d.publish(now, item.clone());
+    d.settle(10);
+    let mut duplicates = 0u64;
+    for (id, node) in d.sim.iter() {
+        let copies = node.deliveries.iter().filter(|r| r.item == item.id).count();
+        assert!(copies <= 1, "node {id} delivered the item {copies} times");
+        duplicates += node.stats.duplicates;
+    }
+    assert_eq!(d.delivered_nodes(&item).len(), n as usize - 1);
+    assert!(duplicates > 0, "k=3 must actually produce suppressed duplicates");
 }

@@ -92,152 +92,143 @@ pub mod ctr {
         DIGEST_CACHE_HITS = 23, "digest_cache_hits";
         /// Peer-list constructions satisfied by the peer cache.
         PEERS_CACHE_HITS = 24, "peers_cache_hits";
-        // -- amcast --
-        /// Multicast forwards sent down the zone tree.
-        MCAST_FORWARDS = 25, "mcast_forwards";
-        /// Duplicate multicast messages suppressed.
-        MCAST_DUPES_DROPPED = 26, "mcast_dupes_dropped";
-        /// Multicast routing dead-ends.
-        MCAST_ROUTE_FAILURES = 27, "mcast_route_failures";
-        /// Messages delivered to the local application by the mcast layer.
-        MCAST_LOCAL_DELIVERIES = 28, "mcast_local_deliveries";
         // -- newswire --
         /// Items published by this node.
-        NW_PUBLISHED = 29, "nw_published";
+        NW_PUBLISHED = 25, "nw_published";
         /// Items delivered to the application.
-        NW_DELIVERED = 30, "nw_delivered";
+        NW_DELIVERED = 26, "nw_delivered";
         /// Deliveries that arrived via the repair path.
-        NW_DELIVERED_REPAIR = 31, "nw_delivered_repair";
+        NW_DELIVERED_REPAIR = 27, "nw_delivered_repair";
         /// Duplicate arrivals suppressed before the application.
-        NW_DUPLICATES = 32, "nw_duplicates";
+        NW_DUPLICATES = 28, "nw_duplicates";
         /// Bloom-filter false-positive deliveries caught by the exact check.
-        NW_BLOOM_FP = 33, "nw_bloom_fp";
+        NW_BLOOM_FP = 29, "nw_bloom_fp";
         /// Arrivals filtered out by the exact predicate.
-        NW_PREDICATE_FILTERED = 34, "nw_predicate_filtered";
+        NW_PREDICATE_FILTERED = 30, "nw_predicate_filtered";
         /// Arrivals rejected by authentication.
-        NW_AUTH_REJECTS = 35, "nw_auth_rejects";
+        NW_AUTH_REJECTS = 31, "nw_auth_rejects";
         /// Publishes denied by capability checks.
-        NW_PUBLISH_DENIED = 36, "nw_publish_denied";
+        NW_PUBLISH_DENIED = 32, "nw_publish_denied";
         /// Tree forwards sent.
-        NW_FORWARDS = 37, "nw_forwards";
+        NW_FORWARDS = 33, "nw_forwards";
         /// Routing dead-ends at the newswire layer.
-        NW_ROUTE_FAILURES = 38, "nw_route_failures";
+        NW_ROUTE_FAILURES = 34, "nw_route_failures";
         /// Hand-off acknowledgements received.
-        NW_ACKS_RECEIVED = 39, "nw_acks_received";
+        NW_ACKS_RECEIVED = 35, "nw_acks_received";
         /// Hand-off retries (same representative).
-        NW_ACK_RETRIES = 40, "nw_ack_retries";
+        NW_ACK_RETRIES = 36, "nw_ack_retries";
         /// Hand-off failovers to the next representative.
-        NW_ACK_FAILOVERS = 41, "nw_ack_failovers";
+        NW_ACK_FAILOVERS = 37, "nw_ack_failovers";
         /// Hand-offs abandoned after exhausting representatives.
-        NW_HANDOFFS_ABANDONED = 42, "nw_handoffs_abandoned";
+        NW_HANDOFFS_ABANDONED = 38, "nw_handoffs_abandoned";
         /// Failovers short-circuited by φ-accrual suspicion.
-        NW_SUSPECT_FAILOVERS = 43, "nw_suspect_failovers";
+        NW_SUSPECT_FAILOVERS = 39, "nw_suspect_failovers";
         /// Repair requests served.
-        NW_REPAIRS_SERVED = 44, "nw_repairs_served";
+        NW_REPAIRS_SERVED = 40, "nw_repairs_served";
         /// Items shipped in repair replies.
-        NW_REPAIR_ITEMS_SENT = 45, "nw_repair_items_sent";
+        NW_REPAIR_ITEMS_SENT = 41, "nw_repair_items_sent";
         /// Repair requests retargeted after a reply deadline.
-        NW_REPAIR_RETARGETS = 46, "nw_repair_retargets";
+        NW_REPAIR_RETARGETS = 42, "nw_repair_retargets";
         /// Anti-entropy reconcile requests issued.
-        NW_RECONCILE_REQUESTS = 47, "nw_reconcile_requests";
+        NW_RECONCILE_REQUESTS = 43, "nw_reconcile_requests";
         /// Items received in reconcile replies.
-        NW_RECONCILE_ITEMS_RECV = 48, "nw_reconcile_items_recv";
+        NW_RECONCILE_ITEMS_RECV = 44, "nw_reconcile_items_recv";
         /// Reconcile requests served for peers.
-        NW_RECONCILES_SERVED = 49, "nw_reconciles_served";
+        NW_RECONCILES_SERVED = 45, "nw_reconciles_served";
         /// Items shipped in reconcile replies.
-        NW_RECONCILE_ITEMS_SENT = 50, "nw_reconcile_items_sent";
+        NW_RECONCILE_ITEMS_SENT = 46, "nw_reconcile_items_sent";
         /// Bytes shipped in reconcile replies.
-        NW_RECONCILE_BYTES_SENT = 51, "nw_reconcile_bytes_sent";
+        NW_RECONCILE_BYTES_SENT = 47, "nw_reconcile_bytes_sent";
         /// Reconcile requests retargeted after a reply deadline.
-        NW_RECONCILE_RETARGETS = 52, "nw_reconcile_retargets";
+        NW_RECONCILE_RETARGETS = 48, "nw_reconcile_retargets";
         // -- oracle verdicts (global set; recorded post-run) --
         /// Oracle runs recorded.
-        ORACLE_RUNS = 53, "oracle_runs";
+        ORACLE_RUNS = 49, "oracle_runs";
         /// Duplicate-delivery violations found by the oracle.
-        ORACLE_DUP_VIOLATIONS = 54, "oracle_dup_violations";
+        ORACLE_DUP_VIOLATIONS = 50, "oracle_dup_violations";
         /// Unwanted-delivery violations found by the oracle.
-        ORACLE_UNWANTED_VIOLATIONS = 55, "oracle_unwanted_violations";
+        ORACLE_UNWANTED_VIOLATIONS = 51, "oracle_unwanted_violations";
         /// Missed-delivery violations found by the oracle.
-        ORACLE_MISSED_VIOLATIONS = 56, "oracle_missed_violations";
+        ORACLE_MISSED_VIOLATIONS = 52, "oracle_missed_violations";
         /// Survivor article logs left unconverged.
-        ORACLE_UNCONVERGED_LOGS = 57, "oracle_unconverged_logs";
+        ORACLE_UNCONVERGED_LOGS = 53, "oracle_unconverged_logs";
         // -- crash recovery --
         /// Cold restarts with stable storage intact (`ColdDurable`).
-        COLD_RESTARTS_DURABLE = 58, "cold_restarts_durable";
+        COLD_RESTARTS_DURABLE = 54, "cold_restarts_durable";
         /// Cold restarts with everything wiped (`ColdAmnesia`).
-        COLD_RESTARTS_AMNESIA = 59, "cold_restarts_amnesia";
+        COLD_RESTARTS_AMNESIA = 55, "cold_restarts_amnesia";
         /// Unsynced disk writes lost at crash time.
-        DISK_WRITES_LOST = 60, "disk_writes_lost";
+        DISK_WRITES_LOST = 56, "disk_writes_lost";
         /// Newer peer incarnations observed in gossip (fence + φ reset).
-        INCARNATION_BUMPS = 61, "incarnation_bumps";
+        INCARNATION_BUMPS = 57, "incarnation_bumps";
         /// Recovery protocols run to completion (article logs hole-free).
-        NW_RECOVERIES = 62, "nw_recoveries";
+        NW_RECOVERIES = 58, "nw_recoveries";
         /// Items re-acquired from peers while a node was recovering.
-        NW_BACKFILL_ITEMS = 63, "nw_backfill_items";
+        NW_BACKFILL_ITEMS = 59, "nw_backfill_items";
         // -- adversarial faults + self-stabilization --
         /// State-corruption strikes executed by the fault engine.
-        STATE_CORRUPTIONS = 64, "state_corruptions";
+        STATE_CORRUPTIONS = 60, "state_corruptions";
         /// Gossip rows rejected by defensive ingest validation.
-        CORRUPT_ROWS_REJECTED = 65, "corrupt_rows_rejected";
+        CORRUPT_ROWS_REJECTED = 61, "corrupt_rows_rejected";
         /// Divergences repaired by the periodic local-state self-audit.
-        SELF_AUDIT_REPAIRS = 66, "self_audit_repairs";
+        SELF_AUDIT_REPAIRS = 62, "self_audit_repairs";
         /// Outbound messages tampered with or dropped by a liar intercept.
-        LIAR_MESSAGES_INTERCEPTED = 67, "liar_messages_intercepted";
+        LIAR_MESSAGES_INTERCEPTED = 63, "liar_messages_intercepted";
         /// Self-stabilization verdicts recorded by the oracle.
-        ORACLE_STABILIZATION_RUNS = 68, "oracle_stabilization_runs";
+        ORACLE_STABILIZATION_RUNS = 64, "oracle_stabilization_runs";
         // -- Byzantine zones: collusion, forgery, signed-authority defenses --
         /// Items rejected by signature verification on an admission path.
-        NW_FORGED_REJECTS = 69, "forged_rejects";
+        NW_FORGED_REJECTS = 65, "forged_rejects";
         /// Peers quarantined out of peer selection by misbehavior score.
-        NW_QUARANTINES = 70, "quarantines";
+        NW_QUARANTINES = 66, "quarantines";
         /// Epoch claims refused for lacking (or failing) publisher-signed
         /// authority.
-        NW_SIGNED_EPOCH_REFUSALS = 71, "signed_epoch_refusals";
+        NW_SIGNED_EPOCH_REFUSALS = 67, "signed_epoch_refusals";
         /// Collusion-script strikes executed against colluding members.
-        COLLUSION_STRIKES = 72, "collusion_strikes";
+        COLLUSION_STRIKES = 68, "collusion_strikes";
         /// Outbound messages tampered or dropped by a colluding member.
-        COLLUSION_INTERCEPTS = 73, "collusion_intercepts";
+        COLLUSION_INTERCEPTS = 69, "collusion_intercepts";
         /// Forged items fabricated into node state by `ForgeItems` strikes.
-        FORGED_ITEMS_INJECTED = 74, "forged_items_injected";
+        FORGED_ITEMS_INJECTED = 70, "forged_items_injected";
         /// Forged-delivery violations found by the oracle.
-        ORACLE_FORGED_VIOLATIONS = 75, "oracle_forged_violations";
+        ORACLE_FORGED_VIOLATIONS = 71, "oracle_forged_violations";
         // -- delta wire protocol (all zero unless NEWSWIRE_DELTAS=1) --
         /// Compressed wire bytes actually shipped (delta accounting model);
         /// compare against `bytes_sent`, which always prices full bodies.
-        BYTES_WIRE = 76, "bytes_wire";
+        BYTES_WIRE = 72, "bytes_wire";
         /// Item payloads sent as chunk deltas instead of full bodies.
-        DELTA_ITEMS_SENT = 77, "delta_items_sent";
+        DELTA_ITEMS_SENT = 73, "delta_items_sent";
         /// Bytes saved by item chunk deltas vs full bodies.
-        DELTA_ITEM_BYTES_SAVED = 78, "delta_item_bytes_saved";
+        DELTA_ITEM_BYTES_SAVED = 74, "delta_item_bytes_saved";
         /// Item sends that fell back to full bodies (no usable baseline).
-        DELTA_FALLBACK_FULL = 79, "delta_fallback_full";
+        DELTA_FALLBACK_FULL = 75, "delta_fallback_full";
         /// Delta envelopes deferred at delivery for lack of the baseline
         /// (recovered later through anti-entropy).
-        DELTA_DEFERRED = 80, "delta_deferred";
+        DELTA_DEFERRED = 76, "delta_deferred";
         /// Gossip rows shipped as stamp-refresh records (content unchanged).
-        GOSSIP_REFRESH_ROWS = 81, "gossip_refresh_rows";
+        GOSSIP_REFRESH_ROWS = 77, "gossip_refresh_rows";
         /// Bytes saved by stamp-refresh records vs full row bodies.
-        GOSSIP_REFRESH_BYTES_SAVED = 82, "gossip_refresh_bytes_saved";
+        GOSSIP_REFRESH_BYTES_SAVED = 78, "gossip_refresh_bytes_saved";
         /// Partial (delta) digests sent in place of full digests.
-        GOSSIP_DELTA_DIGESTS = 83, "gossip_delta_digests";
+        GOSSIP_DELTA_DIGESTS = 79, "gossip_delta_digests";
         /// Full-digest fallbacks (periodic safety net or generation gap).
-        GOSSIP_FULL_FALLBACKS = 84, "gossip_full_fallbacks";
+        GOSSIP_FULL_FALLBACKS = 80, "gossip_full_fallbacks";
         // -- trust-root rotation: key compromise, revocation, Sybil
         //    admission --
         /// Stolen-key strikes executed against compromised members.
-        KEY_COMPROMISE_STRIKES = 85, "key_compromise_strikes";
+        KEY_COMPROMISE_STRIKES = 81, "key_compromise_strikes";
         /// Fabricated identities injected by `SybilFlood` strikes.
-        SYBIL_JOINS_ATTEMPTED = 86, "sybil_joins_attempted";
+        SYBIL_JOINS_ATTEMPTED = 82, "sybil_joins_attempted";
         /// Unendorsed member rows refused at gossip admission.
-        SYBIL_JOINS_REFUSED = 87, "sybil_joins_refused";
+        SYBIL_JOINS_REFUSED = 83, "sybil_joins_refused";
         /// Rotation/revocation records verified and adopted.
-        CERT_REVOCATIONS_SEEN = 88, "cert_revocations_seen";
+        CERT_REVOCATIONS_SEEN = 84, "cert_revocations_seen";
         /// Admissions refused because the signing key-epoch was revoked.
-        NW_REVOKED_KEY_REJECTS = 89, "revoked_key_rejects";
+        NW_REVOKED_KEY_REJECTS = 85, "revoked_key_rejects";
         /// Cached items retroactively purged after their key was revoked.
-        NW_RETRO_PURGED_ITEMS = 90, "retro_purged_items";
+        NW_RETRO_PURGED_ITEMS = 86, "retro_purged_items";
         /// Identities first held in the bounded probation set.
-        NW_PROBATION_HOLDS = 91, "probation_holds";
+        NW_PROBATION_HOLDS = 87, "probation_holds";
     }
 }
 
@@ -249,8 +240,6 @@ pub mod gauge {
         ASTRO_ROWS_HELD = 0, "astro_rows_held";
         /// High-water mark of the newswire per-node work queue.
         NW_PEAK_QUEUE = 1, "nw_peak_queue";
-        /// High-water mark of the mcast per-node work queue.
-        MCAST_PEAK_QUEUE = 2, "mcast_peak_queue";
     }
 }
 

@@ -95,11 +95,6 @@ pub mod kind {
     /// site code, `b` = units repaired).
     pub const SELF_AUDIT_REPAIR: u8 = 23;
 
-    /// A multicast message hopped down the tree (`a` = next hop, `b` = key).
-    pub const MCAST_HOP: u8 = 32;
-    /// A multicast message was delivered locally (`a` = key).
-    pub const MCAST_DELIVER_LOCAL: u8 = 33;
-
     /// An item was published (`a` = item key).
     pub const NW_PUBLISH: u8 = 48;
     /// An item was delivered to the application (`a` = item key,
@@ -186,8 +181,6 @@ pub mod kind {
             INCARNATION_BUMP => "incarnation_bump",
             CORRUPT_ROW_REJECT => "corrupt_row_reject",
             SELF_AUDIT_REPAIR => "self_audit_repair",
-            MCAST_HOP => "mcast_hop",
-            MCAST_DELIVER_LOCAL => "mcast_deliver_local",
             NW_PUBLISH => "nw_publish",
             NW_DELIVER => "nw_deliver",
             HANDOFF_ARM => "handoff_arm",
